@@ -44,18 +44,19 @@ def test_perf_event_throughput(benchmark):
 
 
 def test_perf_spatial_grid_queries(benchmark):
-    """1k range queries over a 200-point grid."""
+    """1k range queries over a 200-point columnar grid."""
     benchmark.extra_info["bench_id"] = "geometry.spatial_grid_queries"
     rng = np.random.default_rng(3)
     points = UniformDeployment().generate(200, FIELD, rng)
-    grid = SpatialGrid(20.0)
-    grid.bulk_load(list(enumerate(points)))
+    grid = SpatialGrid()
+    grid.bulk_load_columns(np.arange(len(points)), [p.x for p in points],
+                           [p.y for p in points])
     centers = UniformDeployment().generate(1000, FIELD, rng)
 
     def run():
         total = 0
         for c in centers:
-            total += sum(1 for _ in grid.within(c, 20.0))
+            total += len(grid.within_ids(c, 20.0))
         return total
 
     assert benchmark(run) > 0
@@ -100,12 +101,12 @@ def test_perf_knnb(benchmark):
     assert benchmark(run) > 0
 
 
-def _warm_beacon_network(mode):
+def _warm_beacon_network():
     from repro.mobility import RandomWaypointMobility
     from repro.net import Network, SensorNode
 
     sim = Simulator(seed=9)
-    net = Network(sim, beacon_mode=mode)
+    net = Network(sim)
     rng = np.random.default_rng(9)
     for i, pos in enumerate(UniformDeployment().generate(200, FIELD, rng)):
         net.add_node(SensorNode(i, RandomWaypointMobility(
@@ -118,7 +119,7 @@ def test_perf_batched_beacon_epoch(benchmark):
     """One beacon interval of a warm 200-node network on the batched
     kernel: a single epoch flush replaces 200 per-node fire events."""
     benchmark.extra_info["bench_id"] = "net.batched_beacon_epoch"
-    sim, net = _warm_beacon_network("batched")
+    sim, net = _warm_beacon_network()
 
     def run():
         sim.run(until=sim.now + net.beacon_interval)
@@ -132,7 +133,7 @@ def test_perf_vectorized_oracle(benchmark):
     benchmark.extra_info["bench_id"] = "metrics.oracle_true_knn"
     from repro.metrics import true_knn
 
-    sim, net = _warm_beacon_network("batched")
+    sim, net = _warm_beacon_network()
     centers = UniformDeployment().generate(
         64, FIELD, np.random.default_rng(11))
 

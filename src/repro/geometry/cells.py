@@ -1,12 +1,13 @@
 """Static cell-bucket index over columnar point sets.
 
-Complements :class:`~repro.geometry.grid.SpatialGrid` (incremental,
-object-keyed) with a build-once, query-many structure: all points are
-linearized into cells of side ``cell_size`` and sorted by cell key, so a
-radius-bounded *candidate* query is nine ``searchsorted`` slices instead
-of a scan over N points.  Callers apply their own exact distance filter
-on the candidates — the index promises a superset, never membership, so
-swapping it in for a linear scan cannot change float-level results.
+Complements :class:`~repro.geometry.grid.SpatialGrid` (one flat
+vectorized scan per query) with a build-once, query-many structure: all
+points are linearized into cells of side ``cell_size`` and sorted by
+cell key, so a radius-bounded *candidate* query is nine ``searchsorted``
+slices instead of a scan over N points.  Callers apply their own exact
+distance filter on the candidates — the index promises a superset, never
+membership, so swapping it in for a linear scan cannot change
+float-level results.
 
 Used by the batched beacon kernel to resolve receiver sets on 10k+-node
 fields, where the dense (B, N) pairwise-distance matrix would dominate

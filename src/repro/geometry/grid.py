@@ -1,294 +1,96 @@
-"""Spatial hash grid for fast range queries over moving points.
+"""Columnar point index for range and nearest-neighbor queries.
 
 The simulator asks "which nodes are within radio range of p" on every
-broadcast; a uniform bucket grid keyed by ``floor(x / cell)`` makes that an
-O(neighbourhood) operation instead of O(n).  Entries are re-bucketed lazily
-by the caller (the network refreshes the grid whenever node positions are
-materialized for the current simulation time).
+broadcast.  Positions live in parallel numpy key/x/y arrays, replaced
+wholesale by :meth:`SpatialGrid.bulk_load_columns` whenever the network
+refreshes node positions, and every query is one vectorized pass over
+them.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, \
-    Tuple
+from typing import Dict, Hashable, List, Optional, Set
 
 import numpy as np
 
 from .vec import Vec2
 
-_Cell = Tuple[int, int]
-
 
 class SpatialGrid:
-    """Uniform bucket grid mapping item keys to 2-D positions.
+    """Parallel key/x/y arrays answering range, nearest and k-nearest
+    queries by vectorized distance filters.
 
-    Two storage modes share one API: the classic bucket mode
-    (``insert``/``bulk_load``) and a *columnar* mode
-    (:meth:`bulk_load_columns`) where positions live in numpy arrays and
-    range queries are vectorized distance filters.  Buckets and the
-    key-position dict are materialized lazily from the columns only when
-    a classic query (``within``/``items``/ring ``nearest``) needs them,
-    so the hot refresh-then-range-query cycle never builds them.
+    Results follow array order (``within_ids``) or break distance ties
+    by ascending key (``nearest``/``knn``), so loading keys sorted gives
+    deterministic ascending-id answers.
     """
 
-    def __init__(self, cell_size: float):
-        if cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
-        self.cell_size = cell_size
-        self._cells: Dict[_Cell, Set[Hashable]] = defaultdict(set)
-        self._positions: Dict[Hashable, Vec2] = {}
-        # Columnar storage: parallel (keys, xs, ys) arrays, or None.
-        self._col_keys: Optional[np.ndarray] = None
-        self._col_x: Optional[np.ndarray] = None
-        self._col_y: Optional[np.ndarray] = None
-        self._col_index: Optional[Dict[Hashable, int]] = None
-        self._col_materialized = False
+    def __init__(self) -> None:
+        self._keys = np.empty(0, dtype=np.int64)
+        self._x = np.empty(0)
+        self._y = np.empty(0)
+        self._index: Optional[Dict[Hashable, int]] = None
 
     def __len__(self) -> int:
-        if self._col_keys is not None:
-            return int(self._col_keys.shape[0])
-        return len(self._positions)
+        return int(self._keys.shape[0])
 
     def __contains__(self, key: Hashable) -> bool:
-        if self._col_keys is not None:
-            return key in self._key_index()
-        return key in self._positions
-
-    # -- columnar mode -------------------------------------------------------
+        return key in self._key_index()
 
     def bulk_load_columns(self, keys, xs, ys) -> None:
-        """Replace all contents with parallel key/x/y arrays.
-
-        Query order (``within_ids``) follows array order, so callers
-        wanting deterministic ascending-id results should pass keys
-        sorted.  Classic queries keep working: buckets are built lazily
-        on first use.
-        """
-        self._cells.clear()
-        self._positions.clear()
-        self._col_keys = np.asarray(keys)
-        self._col_x = np.asarray(xs, dtype=np.float64)
-        self._col_y = np.asarray(ys, dtype=np.float64)
-        self._col_index = None
-        self._col_materialized = False
+        """Replace all contents with parallel key/x/y arrays."""
+        self._keys = np.asarray(keys)
+        self._x = np.asarray(xs, dtype=np.float64)
+        self._y = np.asarray(ys, dtype=np.float64)
+        self._index = None
 
     def _key_index(self) -> Dict[Hashable, int]:
-        if self._col_index is None:
-            self._col_index = {
-                key: i for i, key in enumerate(self._col_keys.tolist())}
-        return self._col_index
-
-    def _materialize(self) -> None:
-        """Build buckets + position dict from pending columns."""
-        if self._col_keys is None or self._col_materialized:
-            return
-        keys = self._col_keys.tolist()
-        xs = self._col_x.tolist()
-        ys = self._col_y.tolist()
-        for key, x, y in zip(keys, xs, ys):
-            p = Vec2(x, y)
-            self._positions[key] = p
-            self._cells[self._cell_of(p)].add(key)
-        self._col_materialized = True
-
-    def _drop_columns(self) -> None:
-        """Classic mutation invalidates columnar storage."""
-        if self._col_keys is not None:
-            self._materialize()
-            self._col_keys = None
-            self._col_x = None
-            self._col_y = None
-            self._col_index = None
-            self._col_materialized = False
-
-    def _cell_of(self, p: Vec2) -> _Cell:
-        return (math.floor(p.x / self.cell_size),
-                math.floor(p.y / self.cell_size))
-
-    # -- mutation ------------------------------------------------------------
-
-    def insert(self, key: Hashable, position: Vec2) -> None:
-        """Insert ``key`` at ``position``, replacing any previous entry."""
-        self._drop_columns()
-        if key in self._positions:
-            self.remove(key)
-        self._positions[key] = position
-        self._cells[self._cell_of(position)].add(key)
-
-    def remove(self, key: Hashable) -> None:
-        """Remove ``key``; raises ``KeyError`` if absent."""
-        self._drop_columns()
-        position = self._positions.pop(key)
-        cell = self._cell_of(position)
-        bucket = self._cells[cell]
-        bucket.discard(key)
-        if not bucket:
-            del self._cells[cell]
-
-    def move(self, key: Hashable, position: Vec2) -> None:
-        """Update the position of an existing ``key`` (cheap if same cell)."""
-        self._drop_columns()
-        old = self._positions[key]
-        old_cell = self._cell_of(old)
-        new_cell = self._cell_of(position)
-        self._positions[key] = position
-        if old_cell != new_cell:
-            bucket = self._cells[old_cell]
-            bucket.discard(key)
-            if not bucket:
-                del self._cells[old_cell]
-            self._cells[new_cell].add(key)
-
-    def clear(self) -> None:
-        self._cells.clear()
-        self._positions.clear()
-        self._col_keys = None
-        self._col_x = None
-        self._col_y = None
-        self._col_index = None
-        self._col_materialized = False
-
-    def bulk_load(self, items: Iterable[Tuple[Hashable, Vec2]]) -> None:
-        """Replace all contents with ``(key, position)`` pairs."""
-        self.clear()
-        for key, position in items:
-            self._positions[key] = position
-            self._cells[self._cell_of(position)].add(key)
+        if self._index is None:
+            self._index = {
+                key: i for i, key in enumerate(self._keys.tolist())}
+        return self._index
 
     # -- queries ------------------------------------------------------------
 
     def position_of(self, key: Hashable) -> Vec2:
-        if self._col_keys is not None and not self._col_materialized:
-            i = self._key_index()[key]
-            return Vec2(float(self._col_x[i]), float(self._col_y[i]))
-        return self._positions[key]
+        i = self._key_index()[key]
+        return Vec2(float(self._x[i]), float(self._y[i]))
+
+    def _dist_sq(self, center: Vec2) -> np.ndarray:
+        dx = self._x - center.x
+        dy = self._y - center.y
+        return dx * dx + dy * dy
 
     def within_ids(self, center: Vec2, radius: float) -> List[Hashable]:
-        """Keys within ``radius`` of ``center``, in deterministic order
-        (array order in columnar mode — ascending id when loaded sorted;
-        sorted otherwise)."""
+        """Keys within ``radius`` of ``center``, in array order."""
         if radius < 0.0:
             return []
-        if self._col_keys is not None:
-            dx = self._col_x - center.x
-            dy = self._col_y - center.y
-            mask = dx * dx + dy * dy <= radius * radius
-            return self._col_keys[mask].tolist()
-        return sorted(self.within(center, radius))
-
-    def within(self, center: Vec2, radius: float) -> Iterator[Hashable]:
-        """Yield keys whose positions lie within ``radius`` of ``center``."""
-        self._materialize()
-        if radius < 0.0:
-            return
-        r_sq = radius * radius
-        c_min = self._cell_of(Vec2(center.x - radius, center.y - radius))
-        c_max = self._cell_of(Vec2(center.x + radius, center.y + radius))
-        positions = self._positions
-        for cx in range(c_min[0], c_max[0] + 1):
-            for cy in range(c_min[1], c_max[1] + 1):
-                bucket = self._cells.get((cx, cy))
-                if not bucket:
-                    continue
-                for key in bucket:
-                    if positions[key].distance_sq_to(center) <= r_sq:
-                        yield key
+        return self._keys[self._dist_sq(center) <= radius * radius].tolist()
 
     def nearest(self, center: Vec2,
                 exclude: "Set[Hashable] | None" = None) -> Hashable:
-        """Key of the closest entry to ``center``.
+        """Key of the closest entry to ``center`` (ties: lowest key).
 
-        Expands the search ring outward so typical queries touch only a few
-        buckets.  Raises ``KeyError`` when the grid holds no eligible entry.
+        Raises ``KeyError`` when the grid holds no eligible entry.
         """
-        if self._col_keys is not None and not self._col_materialized:
-            if self._col_keys.shape[0] == 0:
-                raise KeyError("spatial grid holds no eligible entries")
-            dx = self._col_x - center.x
-            dy = self._col_y - center.y
-            d2 = dx * dx + dy * dy
-            if exclude:
-                d2 = d2.copy()
-                d2[np.isin(self._col_keys, list(exclude))] = np.inf
-            i = int(np.argmin(d2))
-            if not np.isfinite(d2[i]):
-                raise KeyError("spatial grid holds no eligible entries")
-            return self._col_keys[i].item() if hasattr(
-                self._col_keys[i], "item") else self._col_keys[i]
-        exclude = exclude or set()
-        best_key: Hashable = None
-        best_d = math.inf
-        ring = 1
-        # Expand until a hit is found whose distance is certainly minimal
-        # (i.e. smaller than the nearest possible point of the next ring).
-        max_ring_needed = None
-        while True:
-            radius = ring * self.cell_size
-            for key in self.within(center, radius):
-                if key in exclude:
-                    continue
-                d = self._positions[key].distance_sq_to(center)
-                if d < best_d:
-                    best_d = d
-                    best_key = key
-            if best_key is not None:
-                if max_ring_needed is None:
-                    # The found point guarantees the answer lies within
-                    # best distance; one more bounded pass suffices.
-                    max_ring_needed = math.ceil(
-                        math.sqrt(best_d) / self.cell_size) + 1
-                if ring >= max_ring_needed:
-                    return best_key
-            if best_key is None and radius > self._max_extent(center):
-                raise KeyError("spatial grid holds no eligible entries")
-            ring += 1
+        found = self.knn(center, 1, exclude=exclude)
+        if not found:
+            raise KeyError("spatial grid holds no eligible entries")
+        return found[0]
 
     def knn(self, center: Vec2, k: int,
             exclude: "Set[Hashable] | None" = None) -> List[Hashable]:
         """The ``k`` nearest keys to ``center``, closest first.
 
-        Distance ties break by ascending key so the result is
-        deterministic and comparable with the brute-force oracle.  When
-        fewer than ``k`` eligible entries exist, all of them are
-        returned.
+        Exact squared distances ranked with distance ties broken by
+        ascending key; when fewer than ``k`` eligible entries exist, all
+        of them are returned.
         """
         if k <= 0:
             return []
-        exclude = exclude or set()
-        self._materialize()
-        positions = self._positions
-        found: Dict[Hashable, float] = {}
-        ring = 1
-        while True:
-            radius = ring * self.cell_size
-            for key in self.within(center, radius):
-                if key in exclude or key in found:
-                    continue
-                found[key] = positions[key].distance_sq_to(center)
-            if len(found) >= k:
-                ranked = sorted((d, key) for key, d in found.items())[:k]
-                # The k-th hit is final only once the ring certainly
-                # covers its distance (a closer point cannot hide in an
-                # unexplored bucket).
-                if ranked[-1][0] <= radius * radius:
-                    return [key for _, key in ranked]
-            if radius > self._max_extent(center):
-                return [key for _, key in sorted(
-                    (d, key) for key, d in found.items())][:k]
-            ring += 1
-
-    def _max_extent(self, center: Vec2) -> float:
-        """Upper bound on the distance from center to any stored point."""
-        self._materialize()
-        if not self._positions:
-            return 0.0
-        far = 0.0
-        for p in self._positions.values():
-            far = max(far, abs(p.x - center.x) + abs(p.y - center.y))
-        return far + self.cell_size
-
-    def items(self) -> List[Tuple[Hashable, Vec2]]:
-        self._materialize()
-        return list(self._positions.items())
+        keys = self._keys
+        d2 = self._dist_sq(center)
+        if exclude:
+            keep = ~np.isin(keys, list(exclude))
+            keys, d2 = keys[keep], d2[keep]
+        return keys[np.lexsort((keys, d2))[:k]].tolist()

@@ -1,23 +1,23 @@
 """Batched beacon epoch kernel.
 
-Replaces N per-node :class:`~repro.sim.engine.PeriodicTask` beacon timers
-with ONE periodic kernel event per beacon interval.  Each epoch *flushes*
-the interval: per-node fire times are generated from the same
-``beacon.stagger`` / ``beacon.jitter.{id}`` RNG streams the legacy path
-uses, sender kinematics come from a vectorized mobility bank, receiver
-sets are resolved with a vectorized pairwise-distance filter against a
-lazily refreshed position snapshot, and neighbor-table updates plus
-beacon-energy accounting are applied in bulk.
+Every node beacons its location periodically (the paper's network model,
+§3.1); the kernel runs all N nodes' beacon timers as ONE periodic event
+per beacon interval.  Each epoch *flushes* the interval: per-node fire
+times are generated from the ``beacon.stagger`` / ``beacon.jitter.{id}``
+RNG streams, sender kinematics come from a vectorized mobility bank,
+receiver sets are resolved with a vectorized pairwise-distance filter
+against a lazily refreshed position snapshot, and neighbor-table updates
+plus beacon-energy accounting are applied in bulk.
 
 Equivalence contract (proven executable in
 ``tests/test_beacon_equivalence.py``): at every interval boundary the
-batched path produces *identical* neighbor tables, beacon counts and
-beacon-energy ledger totals to the legacy per-event path, for any mix of
-mobile/static, dead and muted nodes.  The one sanctioned divergence is
-intra-interval event interleaving (and hence golden digests), which is
-why ``flush()`` is a pure function of (state, time): any observer that
-reads mid-interval state first forces a flush, and the flush result does
-not depend on what triggered it.
+kernel produces *identical* neighbor tables, beacon counts and
+beacon-energy ledger totals to the scalar reference model in
+``tests/reference/beacons.py`` (one timer event per beacon), for any mix
+of mobile/static, dead and muted nodes.  Only intra-interval event
+interleaving differs, which is why ``flush()`` is a pure function of
+(state, time): any observer that reads mid-interval state first forces a
+flush, and the flush result does not depend on what triggered it.
 
 Scaling note: up to ``_DENSE_MAX`` nodes the neighbor store is a dense
 (N, N) float64 block and receiver sets come from full pairwise-distance
@@ -195,7 +195,7 @@ class BatchedBeaconEngine:
         # ``Generator.uniform(low, high, size=m)`` consumes the PCG64
         # stream bitwise-identically to m scalar ``uniform`` calls
         # (proven in tests/test_beacon_equivalence.py), so block caching
-        # keeps draw-for-draw parity with the legacy per-fire draw while
+        # keeps draw-for-draw parity with one scalar draw per fire while
         # amortizing the scalar-call overhead.
         self._jit_cache = np.zeros((n, _JIT_BLOCK))
         self._jit_pos = np.full(n, _JIT_BLOCK, dtype=np.int64)
@@ -206,12 +206,12 @@ class BatchedBeaconEngine:
         self.snap_x = np.zeros(n)
         self.snap_y = np.zeros(n)
         self.snap_alive = self.alive_mask.copy()
-        # Mirrors legacy's ``len(grid) == len(nodes)`` check: the grid
-        # only holds nodes alive at sync time, so a partial snapshot
-        # forces a re-sync on every subsequent call until it fills back
-        # up — while a full-but-stale one keeps serving within epsilon
-        # even across a fresh death (receivers are still alive-filtered
-        # per fire).
+        # Mirrors Network._sync_grid's ``len(grid) == len(nodes)``
+        # check: the grid only holds nodes alive at sync time, so a
+        # partial snapshot forces a re-sync on every subsequent call
+        # until it fills back up — while a full-but-stale one keeps
+        # serving within epsilon even across a fresh death (receivers
+        # are still alive-filtered per fire).
         self._snap_full = bool(self.snap_alive.all())
         self._snap_dirty = False
         # Neighbor store: row = hearer, col = neighbor.  Dense matrices
@@ -246,8 +246,8 @@ class BatchedBeaconEngine:
         self._transitions: List[tuple] = []
         self.last_flush = -math.inf
         # Ledger accounts must be *created* in chronological charge order
-        # so EnergyLedger.total_j() sums in the same order as legacy
-        # (float addition is order-sensitive).
+        # so EnergyLedger.total_j() sums in the same order as per-beacon
+        # charging would (float addition is order-sensitive).
         self._acct_touched = np.zeros(n, dtype=bool)
         # Account objects are created once and never replaced, so cache
         # them by row to skip the per-charge dict lookup.
@@ -273,7 +273,7 @@ class BatchedBeaconEngine:
 
     def start(self) -> None:
         stagger = self.sim.rng.stream("beacon.stagger")
-        # Legacy draws staggers in node-insertion order; replay that.
+        # Staggers are drawn in node-insertion order.
         now = self.sim.now
         for node in self.net.nodes.values():
             self.next_fire[self.index[node.id]] = now + float(
@@ -298,7 +298,7 @@ class BatchedBeaconEngine:
         self.next_fire[:] = np.inf
         self._nf_min = math.inf
         if self.pending:
-            # Drain in-flight beacons (legacy deliveries survive stop()).
+            # Drain in-flight beacons (deliveries survive stop()).
             t_last = max(float(p[1][-1]) if isinstance(p[1], np.ndarray)
                          else p[0] for p in self.pending)
             self.sim.schedule_at(t_last, lambda: self.flush(self.sim.now))
@@ -403,7 +403,7 @@ class BatchedBeaconEngine:
 
         Jitter draws replicate ``PeriodicTask._next_delay`` exactly: one
         uniform per fire from the node's own stream, drawn even when the
-        fire will be skipped (dead/muted) — the legacy callback
+        fire will be skipped (dead/muted) — a per-node timer callback
         early-returns *after* the reschedule draw.
         """
         due = np.nonzero(self.next_fire <= now)[0]
@@ -587,9 +587,9 @@ class BatchedBeaconEngine:
         k = 0
         while k < n_live:
             t_k = tf_list[k]
-            # Legacy _sync_grid parity: refresh when stale by epsilon, or
+            # Network._sync_grid parity: refresh when stale by epsilon, or
             # when the snapshot is missing a node (the grid drops dead
-            # nodes, so legacy's length check fails and it re-syncs every
+            # nodes, so its length check fails and it re-syncs every
             # call until everyone is back), or when liveness changed
             # mid-flush.  A full-but-stale snapshot keeps serving within
             # epsilon even if a node died since — exactly like the grid.
@@ -646,7 +646,7 @@ class BatchedBeaconEngine:
                 self._virtual_now = t_f
                 if not self.alive_mask[s_i] or self.muted_mask[s_i]:
                     # Sender killed earlier in this flush (battery):
-                    # the legacy callback would check liveness at its
+                    # a per-node timer would check liveness at its
                     # own fire time and skip.
                     continue
                 if in_range is not None:
@@ -671,7 +671,7 @@ class BatchedBeaconEngine:
                                      net.radio.range_m)
                     if not self.alive_mask[s_i]:
                         # Battery killed the sender mid-charge; its frame
-                        # still goes out (legacy charges, then proceeds).
+                        # still goes out (charge first, then proceed).
                         pass
                 else:
                     tx_counts[s_i] += 1
@@ -681,7 +681,7 @@ class BatchedBeaconEngine:
                 loss = mac.loss_rate_at(t_f) if has_overlay else base_loss
                 surv_mask = mac.lightweight_survivors(int(r_idx.size), loss)
                 survivors = r_idx if surv_mask is None else r_idx[surv_mask]
-                # Legacy charges rx at FIRE time for all survivors, even
+                # Rx is charged at FIRE time for all survivors, even
                 # ones that die before delivery.
                 if slow_energy:
                     for ri in survivors.tolist():
@@ -771,32 +771,10 @@ class BatchedBeaconEngine:
         if cr:
             acct.rx_j = repeated_add(acct.rx_j, rx_cost, cr)
 
-    def _alive_at(self, r: int, t: float) -> bool:
-        """Receiver liveness at delivery time ``t``, reconstructed from
-        the transitions log (delivery-time alive check, legacy parity)."""
-        state: Optional[bool] = None
-        seen_later = False
-        first_later: Optional[bool] = None
-        for (tt, i, new) in self._transitions:
-            if i != r:
-                continue
-            if tt <= t:
-                state = new
-            else:
-                if not seen_later:
-                    first_later = new
-                    seen_later = True
-        if state is not None:
-            return state
-        if seen_later:
-            # No transition at or before t, but one after: the state at t
-            # was the opposite of the first later transition's target.
-            return not first_later
-        return bool(self.alive_mask[r])
-
     def _alive_at_bulk(self, cols: np.ndarray,
                        times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_alive_at` over (receiver, time) pairs.
+        """Receiver liveness at delivery time for (receiver, time) pairs,
+        reconstructed from the transitions log.
 
         Nodes without transitions (almost all of them) resolve in one
         ``alive_mask`` gather; each transitioning node's pairs resolve
@@ -888,7 +866,7 @@ class BatchedBeaconEngine:
                     continue
                 if hooks:
                     # Pair order is row-major == chronological fires,
-                    # receivers ascending per fire — legacy hook order.
+                    # receivers ascending per fire — per-beacon hook order.
                     # Bulk tolist() gathers yield the same Python
                     # ints/floats the per-pair conversions did.
                     rids = self.ids[g_cols].tolist()
@@ -1011,17 +989,6 @@ class BatchedBeaconEngine:
                     velocity=Vec2(ux, uy))
             self.mat_time[r] = float(heard.max())
         self.mat_rev[r] = self.store_rev
-
-    def note_observation(self, hearer_id: int, neighbor_id: int,
-                         time: float, position: Vec2, speed: float,
-                         velocity: Vec2) -> None:
-        """Mirror a directly observed beacon (legacy delivery path) into
-        the store so staleness sweeps see it."""
-        r = self.index.get(hearer_id)
-        c = self.index.get(neighbor_id)
-        if r is not None and c is not None:
-            self.store.update_cell(r, c, time, position.x, position.y,
-                                   speed, velocity.x, velocity.y)
 
     def clear_cell(self, hearer_id: int, neighbor_id: int) -> None:
         """Store-side forget (mirror of dict ``pop``)."""

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..geometry import SpatialGrid, Vec2
 from ..sim.engine import PeriodicTask, Simulator
 from ..sim.errors import ConfigurationError
@@ -42,8 +44,7 @@ class Network:
                  mac_config: Optional[MacConfig] = None,
                  beacon_interval: float = 0.5,
                  neighbor_timeout: Optional[float] = None,
-                 position_epsilon: float = 0.05,
-                 beacon_mode: str = "batched"):
+                 position_epsilon: float = 0.05):
         """
         Args:
             sim: the event kernel.
@@ -57,14 +58,7 @@ class Network:
             position_epsilon: how stale (seconds) the PHY spatial index may
                 be before being refreshed; bounds position error by
                 epsilon * max_speed, far below the radio range.
-            beacon_mode: ``"batched"`` (one vectorized kernel event per
-                interval; the default) or ``"legacy"`` (one event per
-                beacon).  Equivalent at every interval boundary — see
-                ``repro.net.beacons`` and the differential test suite.
         """
-        if beacon_mode not in ("batched", "legacy"):
-            raise ConfigurationError(
-                f"unknown beacon_mode {beacon_mode!r}")
         self.sim = sim
         self.radio = radio or RadioModel()
         self.energy_model = energy or EnergyModel()
@@ -80,12 +74,10 @@ class Network:
         self.position_epsilon = position_epsilon
         self.nodes: Dict[int, SensorNode] = {}
         self.stats = NetworkStats()
-        self._grid = SpatialGrid(cell_size=self.radio.range_m)
+        self._grid = SpatialGrid()
         self._link_factor_cache: Dict[tuple, float] = {}
         self._grid_time = -math.inf
-        self.beacon_mode = beacon_mode
         self._beacon_engine: Optional[BatchedBeaconEngine] = None
-        self._beacon_tasks: List[PeriodicTask] = []
         self._beacon_muted: set = set()
         self._sweep_task: Optional[PeriodicTask] = None
         self.neighbor_evictions = 0
@@ -116,17 +108,23 @@ class Network:
 
     # -- positions -----------------------------------------------------------
 
+    def position_columns(self, t: float):
+        """Exact ``(ids, xs, ys)`` arrays of the alive nodes at time
+        ``t``, in ascending id order."""
+        if self._beacon_engine is not None:
+            return self._beacon_engine.grid_columns(t)
+        alive = [node for _nid, node in sorted(self.nodes.items())
+                 if node.alive]
+        points = [node.mobility.position_at(t) for node in alive]
+        return (np.array([node.id for node in alive], dtype=np.int64),
+                np.array([p.x for p in points], dtype=np.float64),
+                np.array([p.y for p in points], dtype=np.float64))
+
     def _sync_grid(self) -> None:
         now = self.sim.now
         if now - self._grid_time < self.position_epsilon and len(self._grid) == len(self.nodes):
             return
-        if self._beacon_engine is not None:
-            ids, xs, ys = self._beacon_engine.grid_columns(now)
-            self._grid.bulk_load_columns(ids, xs, ys)
-        else:
-            self._grid.bulk_load(
-                (node.id, node.mobility.position_at(now))
-                for node in self.nodes.values() if node.alive)
+        self._grid.bulk_load_columns(*self.position_columns(now))
         self._grid_time = now
 
     def in_range_of(self, position: Vec2,
@@ -222,42 +220,27 @@ class Network:
     # -- beacons -------------------------------------------------------------
 
     def _beacons_running(self) -> bool:
-        return bool(self._beacon_tasks) or (
-            self._beacon_engine is not None and self._beacon_engine._running)
+        return (self._beacon_engine is not None
+                and self._beacon_engine._running)
 
     def start_beacons(self) -> None:
         """Begin periodic location beaconing on every node."""
         if self._beacons_running():
             raise ConfigurationError("beacons already started")
-        if self.beacon_mode == "batched":
-            self._beacon_engine = BatchedBeaconEngine(self)
-            if self._beacon_muted:
-                self._beacon_engine.set_muted(self._beacon_muted, True)
-            self._beacon_engine.start()
-            return
-        stagger_rng = self.sim.rng.stream("beacon.stagger")
-        for node in self.nodes.values():
-            task = PeriodicTask(self.sim, self.beacon_interval,
-                                self._make_beacon_fn(node),
-                                jitter=0.05 * self.beacon_interval,
-                                rng_stream=f"beacon.jitter.{node.id}")
-            task.start(initial_delay=float(
-                stagger_rng.uniform(0.0, self.beacon_interval)))
-            self._beacon_tasks.append(task)
+        self._beacon_engine = BatchedBeaconEngine(self)
+        if self._beacon_muted:
+            self._beacon_engine.set_muted(self._beacon_muted, True)
+        self._beacon_engine.start()
 
     def stop_beacons(self) -> None:
         if self._beacon_engine is not None:
             self._beacon_engine.stop()
-        for task in self._beacon_tasks:
-            task.stop()
-        self._beacon_tasks.clear()
 
     def flush_beacons(self) -> None:
-        """Bring batched beacon state exactly up to ``sim.now``.
+        """Bring beacon state exactly up to ``sim.now``.
 
-        A no-op in legacy mode (the event queue is always current) and on
-        the batched fast path when nothing is due — safe to call from any
-        observer or checkpoint."""
+        A no-op before beaconing starts and on the fast path when nothing
+        is due — safe to call from any observer or checkpoint."""
         if self._beacon_engine is not None:
             self._beacon_engine.flush(self.sim.now)
 
@@ -274,40 +257,6 @@ class Network:
         if self._beacon_engine is not None:
             self._beacon_engine.set_muted(ids, False)
         self._beacon_muted.difference_update(ids)
-
-    def _make_beacon_fn(self, node: SensorNode) -> Callable[[], None]:
-        def _beacon() -> None:
-            if not node.alive or node.id in self._beacon_muted:
-                return
-            now = self.sim.now
-            pos = node.mobility.position_at(now)
-            speed = node.mobility.speed_at(now)
-            velocity = node.mobility.velocity_at(now)
-            self.stats.beacons_sent += 1
-            receivers = self._receivers_for(node.id, pos)
-            message = Message(kind="beacon", src=node.id, dst=-1,
-                              size_bytes=self.BEACON_BYTES,
-                              payload={"pos": pos, "speed": speed,
-                                       "vel": velocity},
-                              created_at=now)
-            self._beacon_mac.transmit(
-                node.id, pos, message, receivers,
-                deliver=self._deliver_beacon, lightweight=True)
-
-        return _beacon
-
-    def _deliver_beacon(self, receiver_id: int, message: Message) -> None:
-        node = self.nodes.get(receiver_id)
-        if node is None or not node.alive:
-            return
-        if self._beacon_hooks:
-            for hook in self._beacon_hooks:
-                hook(receiver_id, message.src, self.sim.now)
-        for hook in self._beacon_batch_hooks:
-            hook(1)
-        node.observe_beacon(message.src, message.payload["pos"],
-                            message.payload["speed"], self.sim.now,
-                            velocity=message.payload["vel"])
 
     def warm_up(self, duration: Optional[float] = None) -> None:
         """Run beacons for ``duration`` so neighbor tables fill.
@@ -341,15 +290,9 @@ class Network:
         timeout = self.neighbor_timeout
 
         def _sweep() -> None:
-            now = self.sim.now
             if self._beacon_engine is not None:
                 self.neighbor_evictions += \
-                    self._beacon_engine.sweep_evict(now, timeout)
-                return
-            for node in self.nodes.values():
-                if node.alive:
-                    self.neighbor_evictions += \
-                        node.evict_stale_neighbors(now, timeout)
+                    self._beacon_engine.sweep_evict(self.sim.now, timeout)
 
         self._sweep_task = PeriodicTask(
             self.sim, period if period is not None else self.beacon_interval,

@@ -99,10 +99,10 @@ class SensorNode:
     def neighbor_table(self) -> Dict[int, NeighborEntry]:
         """The node's neighbor table (the real dict, not a copy).
 
-        In batched-beacon mode reading it first materializes any beacon
+        Once beaconing runs, reading it first materializes any beacon
         deliveries applied since the last read, so external readers (the
-        validation checkers, fault tooling) see the same state the legacy
-        per-event path would have produced.
+        validation checkers, fault tooling) see the same state as the
+        per-beacon scalar reference model (``tests/reference/beacons.py``).
         """
         engine = self._beacon_engine()
         if engine is not None:
@@ -131,20 +131,6 @@ class SensorNode:
         return self.mobility.speed_at(t)
 
     # -- neighbor table ------------------------------------------------------
-
-    def observe_beacon(self, node_id: int, position: Vec2, speed: float,
-                       time: float,
-                       velocity: Vec2 = Vec2(0.0, 0.0)) -> None:
-        """Record a heard beacon."""
-        self.neighbor_table[node_id] = NeighborEntry(
-            node_id, position, speed, time, beacon_position=position,
-            velocity=velocity)
-        engine = self._beacon_engine()
-        if engine is not None:
-            # Mirror direct observations into the neighbor store so
-            # staleness sweeps see them.
-            engine.note_observation(self.id, node_id, time, position,
-                                    speed, velocity)
 
     def neighbors(self, max_age: Optional[float] = None) -> List[NeighborEntry]:
         """Fresh neighbor entries (protocol view).

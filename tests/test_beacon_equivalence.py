@@ -3,8 +3,9 @@
 The equivalence argument for ``repro.net.beacons`` is executable: on
 randomized deployments (uniform / clustered / caribou, static and
 mobile, with muted and dead nodes mixed in), the batched epoch kernel
-and the legacy one-event-per-beacon path must produce *identical*
-neighbor tables, beacon counts and beacon-energy ledger totals at every
+and the scalar one-event-per-beacon reference model
+(``tests/reference/beacons.py``) must produce *identical* neighbor
+tables, beacon counts and beacon-energy ledger totals at every
 beacon-interval boundary.  "Identical" means bitwise — same heard_at
 floats, same positions, same velocities, same per-account tx/rx joules.
 
@@ -24,6 +25,8 @@ from repro.mobility import RandomWaypointMobility, StaticMobility
 from repro.net import Network, RadioModel, SensorNode
 from repro.sim import Simulator
 
+from tests.reference.beacons import ReferenceNetwork
+
 SEEDS = (0, 1, 2)
 
 _DEPLOYMENTS = {
@@ -39,11 +42,12 @@ def _rng(seed):
 
 def build_network(mode, seed, n_nodes, deployment="uniform", mobile=True,
                   side=70.0, loss=0.0, sigma=0.0):
-    """One network; identical construction in both beacon modes."""
+    """One network; identical construction for both beacon models
+    (``mode`` is ``"batched"`` for production or ``"reference"``)."""
     sim = Simulator(seed=seed)
-    net = Network(sim, radio=RadioModel(base_loss_rate=loss,
-                                        shadowing_sigma=sigma),
-                  beacon_mode=mode)
+    cls = {"batched": Network, "reference": ReferenceNetwork}[mode]
+    net = cls(sim, radio=RadioModel(base_loss_rate=loss,
+                                    shadowing_sigma=sigma))
     field = Rect.from_size(side, side)
     positions = _DEPLOYMENTS[deployment]().generate(
         n_nodes, field, sim.rng.stream("deploy"))
@@ -80,9 +84,9 @@ def beacon_state(net):
     }
 
 
-def assert_states_equal(legacy, batched, context=""):
-    for key in legacy:
-        assert legacy[key] == batched[key], (
+def assert_states_equal(reference, batched, context=""):
+    for key in reference:
+        assert reference[key] == batched[key], (
             f"{context}: beacon state {key!r} diverged")
 
 
@@ -97,10 +101,10 @@ def run_boundaries(mode, boundaries, seed, **kwargs):
 
 
 def _compare(boundaries, seed, **kwargs):
-    legacy = run_boundaries("legacy", boundaries, seed, **kwargs)
+    reference = run_boundaries("reference", boundaries, seed, **kwargs)
     batched = run_boundaries("batched", boundaries, seed, **kwargs)
-    for t, l, b in zip(boundaries, legacy, batched):
-        assert_states_equal(l, b, context=f"t={t} seed={seed}")
+    for t, r, b in zip(boundaries, reference, batched):
+        assert_states_equal(r, b, context=f"t={t} seed={seed}")
 
 
 # -- randomized deployments -------------------------------------------------
@@ -137,8 +141,8 @@ def test_equal_large_population():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equal_with_muted_and_dead_mix(seed):
-    """Dead and muted nodes still draw jitter (legacy fires then skips),
-    so downstream RNG stays aligned."""
+    """Dead and muted nodes still draw jitter (the reference timer fires
+    then skips), so downstream RNG stays aligned."""
     def run(mode):
         sim, net = build_network(mode, seed, n_nodes=40, mobile=True)
         rng = _rng(seed + 100)
@@ -154,13 +158,13 @@ def test_equal_with_muted_and_dead_mix(seed):
             out.append(beacon_state(net))
         return out
 
-    for l, b in zip(run("legacy"), run("batched")):
-        assert_states_equal(l, b, context=f"seed={seed}")
+    for r, b in zip(run("reference"), run("batched")):
+        assert_states_equal(r, b, context=f"seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equal_under_sweep_eviction(seed):
-    """Proactive staleness sweeps evict identically in both modes."""
+    """Proactive staleness sweeps evict identically in both models."""
     def run(mode):
         sim, net = build_network(mode, seed, n_nodes=30, mobile=True)
         net.start_beacons()
@@ -170,9 +174,9 @@ def test_equal_under_sweep_eviction(seed):
         sim.run(until=4.0)
         return beacon_state(net), net.neighbor_evictions
 
-    (ls, le), (bs, be) = run("legacy"), run("batched")
-    assert_states_equal(ls, bs, context=f"seed={seed}")
-    assert le == be
+    (rs, r_evicted), (bs, b_evicted) = run("reference"), run("batched")
+    assert_states_equal(rs, bs, context=f"seed={seed}")
+    assert r_evicted == b_evicted
 
 
 def test_stop_beacons_drains_in_flight():
@@ -185,7 +189,7 @@ def test_stop_beacons_drains_in_flight():
         sim.run(until=2.0)
         return beacon_state(net)
 
-    assert_states_equal(run("legacy"), run("batched"))
+    assert_states_equal(run("reference"), run("batched"))
 
 
 # -- RNG discipline ---------------------------------------------------------
@@ -254,18 +258,18 @@ def test_mobility_bank_matches_scalar_models(seed):
 
 
 def test_event_accounting_credited():
-    """Batched mode credits the collapsed per-beacon events, so
-    events_executed stays comparable across kernels (the epoch events
-    themselves are the only overhead)."""
+    """The kernel credits the collapsed per-beacon events, so
+    events_executed stays comparable with the per-event reference (the
+    epoch events themselves are the only overhead)."""
     def run(mode):
         sim, net = build_network(mode, 3, n_nodes=25, mobile=False)
         net.start_beacons()
         sim.run(until=4.0)
         return sim.events_executed
 
-    legacy, batched = run("legacy"), run("batched")
+    reference, batched = run("reference"), run("batched")
     epochs = 8  # 4.0s / 0.5s interval
-    assert legacy <= batched <= legacy + epochs
+    assert reference <= batched <= reference + epochs
 
 
 # -- mid-interval observation purity ---------------------------------------
@@ -284,7 +288,7 @@ def test_mid_interval_reads_do_not_perturb(seed):
                 for node in net.nodes.values():
                     # Observer-triggered flush + materialization.  (Not
                     # ``neighbors()``: that evicts stale entries as a
-                    # documented side effect, in both kernels alike.)
+                    # documented side effect, in both models alike.)
                     dict(node.neighbor_table)
                 net.beacon_ledger.total_j()
             sim.run(until=t)

@@ -19,9 +19,10 @@ from repro.validate import (compare_with_flooding, loss_sweep,
                             run_paired_query, score_result)
 
 # Exactness under the default MAC depends on collision-draw luck, which
-# is pinned by the seed: receiver sets are now resolved in canonical
-# ascending-id order (required for batched/legacy beacon equivalence),
-# which re-rolled the collision victims and made the old seed marginal.
+# is pinned by the seed: receiver sets are resolved in canonical
+# ascending-id order (required for the beacon kernel to match the scalar
+# reference model in tests/reference/beacons.py), which re-rolled the
+# collision victims and made the old seed marginal.
 CFG = SimulationConfig(n_nodes=60, field_size=(70.0, 70.0), seed=11,
                        max_speed=0.0)
 POINT = Vec2(35.0, 35.0)
@@ -92,12 +93,23 @@ def test_paired_runs_share_the_scenario():
     assert s1.truth == s2.truth
 
 
-# -- oracle implementations are interchangeable -----------------------------
+# -- the oracle against a brute-force reference -----------------------------
 #
-# true_knn has three implementations (brute / grid ring-expansion /
-# vectorized mobility-bank).  The accuracy referee must not depend on
-# which one answered, so they are proven bit-identical: same ids, same
-# order, ties broken by id.
+# true_knn ranks position columns (the beacon kernel's vectorized
+# mobility bank, or the scalar mobility models before beaconing starts)
+# with one SpatialGrid.knn pass.  The accuracy referee must be exact, so
+# it is proven bit-identical to sorting every alive node by
+# Vec2.distance_sq_to: same ids, same order, ties broken by id.
+
+def brute_knn(net, point, k, t=None, exclude=None):
+    """Reference oracle: every alive node's exact scalar position, sorted
+    by (squared distance, id)."""
+    positions = net.true_positions(t)
+    ranked = sorted((p.distance_sq_to(point), nid)
+                    for nid, p in positions.items()
+                    if not exclude or nid not in exclude)
+    return [nid for _d, nid in ranked[:k]]
+
 
 class TestOracleImplementations:
     SEEDS = (0, 1, 2)
@@ -118,10 +130,9 @@ class TestOracleImplementations:
         for _ in range(5):
             point = Vec2(float(rng.uniform(0, 70)),
                          float(rng.uniform(0, 70)))
-            ref = true_knn(net, point, k, method="brute")
+            ref = brute_knn(net, point, k)
             assert len(ref) == min(k, 120)
-            assert true_knn(net, point, k, method="grid") == ref
-            assert true_knn(net, point, k, method="auto") == ref
+            assert true_knn(net, point, k) == ref
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_agreement_with_exclusions_and_deaths(self, seed):
@@ -131,37 +142,32 @@ class TestOracleImplementations:
             net.nodes[int(nid)].alive = False
         exclude = {int(i) for i in rng.choice(120, size=8, replace=False)}
         point = Vec2(35.0, 35.0)
-        ref = true_knn(net, point, 10, exclude=exclude, method="brute")
+        ref = brute_knn(net, point, 10, exclude=exclude)
         assert not exclude & set(ref)
-        assert true_knn(net, point, 10, exclude=exclude,
-                        method="grid") == ref
-        assert true_knn(net, point, 10, exclude=exclude,
-                        method="auto") == ref
+        assert true_knn(net, point, 10, exclude=exclude) == ref
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_agreement_at_explicit_timestamps(self, seed):
         """The oracle answers for *any* t, not just the current clock."""
         _sim, net = self._network(seed)
         for t in (0.0, 0.9, 1.7, 2.4):
-            ref = true_knn(net, POINT, 10, t=t, method="brute")
-            assert true_knn(net, POINT, 10, t=t, method="grid") == ref
-            assert true_knn(net, POINT, 10, t=t, method="auto") == ref
+            assert true_knn(net, POINT, 10, t=t) == brute_knn(
+                net, POINT, 10, t=t)
 
     def test_auto_falls_back_to_brute_without_engine(self):
-        _sim, net = self._network(3, mode="legacy")
+        """Without a beacon engine the columns come from the scalar
+        mobility models; the ranking must still match brute force."""
+        _sim, net = self._network(3, mode="reference")
         assert net._beacon_engine is None
-        assert (true_knn(net, POINT, 10, method="auto")
-                == true_knn(net, POINT, 10, method="brute"))
-
-    def test_unknown_method_rejected(self):
-        _sim, net = self._network(0)
-        with pytest.raises(ValueError):
-            true_knn(net, POINT, 5, method="exhaustive")
+        net.nodes[4].alive = False
+        for t in (None, 0.9):
+            assert true_knn(net, POINT, 10, t=t) == brute_knn(
+                net, POINT, 10, t=t)
 
     def test_agreement_at_10k_nodes_with_deaths_and_exclusions(self):
-        """Scale-axis differential: all three oracle implementations
-        agree on a 10k-node field at paper density, with dead nodes and
-        an exclusion set in play (the regime where the sparse-store /
+        """Scale-axis differential: the oracle matches brute force on a
+        10k-node field at paper density, with dead nodes and an
+        exclusion set in play (the regime where the sparse-store /
         cell-bucket kernel paths replace the dense ones)."""
         from tests.test_beacon_equivalence import build_network
         n = 10_000
@@ -176,11 +182,7 @@ class TestOracleImplementations:
         exclude = {int(i) for i in rng.choice(n, size=80, replace=False)}
         for k in (10, 200):
             for point in (Vec2(side / 2, side / 2), Vec2(5.0, 790.0)):
-                ref = true_knn(net, point, k, exclude=exclude,
-                               method="brute")
+                ref = brute_knn(net, point, k, exclude=exclude)
                 assert len(ref) == k
                 assert not exclude & set(ref)
-                assert true_knn(net, point, k, exclude=exclude,
-                                method="grid") == ref
-                assert true_knn(net, point, k, exclude=exclude,
-                                method="auto") == ref
+                assert true_knn(net, point, k, exclude=exclude) == ref

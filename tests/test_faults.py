@@ -280,7 +280,8 @@ class TestResilienceSweep:
 
 class TestBatchedBeaconFaultInterplay:
     """Fault events interleaved with the batched beacon epoch must leave
-    the same neighbor tables / energy / counters as the legacy kernel."""
+    the same neighbor tables / energy / counters as the scalar reference
+    model (``tests/reference/beacons.py``)."""
 
     def _build(self, mode, seed=9, n=30):
         from tests.test_beacon_equivalence import build_network
@@ -292,13 +293,13 @@ class TestBatchedBeaconFaultInterplay:
 
     def _assert_equal(self, runner):
         from tests.test_beacon_equivalence import assert_states_equal
-        legacy, batched = runner("legacy"), runner("batched")
-        for i, (l, b) in enumerate(zip(legacy, batched)):
-            assert_states_equal(l, b, context=f"checkpoint {i}")
+        reference, batched = runner("reference"), runner("batched")
+        for i, (r, b) in enumerate(zip(reference, batched)):
+            assert_states_equal(r, b, context=f"checkpoint {i}")
 
     def test_mute_unmute_mid_epoch(self):
         """Beacon suppression windows that start and end inside an epoch
-        suppress exactly the fires the legacy kernel would skip."""
+        suppress exactly the fires the reference model would skip."""
         def run(mode):
             sim, net = self._build(mode)
             plan = (FaultPlan()
@@ -318,7 +319,7 @@ class TestBatchedBeaconFaultInterplay:
     def test_crash_between_fire_and_delivery(self):
         """A receiver killed after a beacon's fire but before its
         delivery is charged rx energy (fire time) yet never updates its
-        table (delivery-time liveness) — in both kernels."""
+        table (delivery-time liveness) — in both models."""
         # Peek the batched engine's schedule for a fire to straddle.
         sim, net = self._build("batched")
         net.start_beacons()

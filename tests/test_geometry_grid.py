@@ -1,18 +1,20 @@
-"""Unit + property tests for the spatial hash grid."""
-
-import math
+"""Unit + property tests for the columnar spatial index."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import SpatialGrid, Vec2
 
-# the hypothesis sweeps here legitimately run for minutes; give them
-# headroom above the repo-wide 120 s per-test ceiling
-pytestmark = pytest.mark.timeout(600)
-
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False)
 points = st.lists(st.tuples(coords, coords), min_size=0, max_size=60)
+
+
+def load(items):
+    """A grid holding ``(key, Vec2)`` pairs, in the given order."""
+    g = SpatialGrid()
+    g.bulk_load_columns([k for k, _p in items], [p.x for _k, p in items],
+                        [p.y for _k, p in items])
+    return g
 
 
 def brute_within(items, center, radius):
@@ -21,82 +23,54 @@ def brute_within(items, center, radius):
 
 
 class TestSpatialGridBasics:
-    def test_insert_query(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(5, 5))
-        g.insert("b", Vec2(50, 50))
-        assert set(g.within(Vec2(0, 0), 10)) == {"a"}
+    def test_bulk_load_replaces_all(self):
+        g = load([("old", Vec2(1, 1))])
+        g.bulk_load_columns(["x", "y"], [0.0, 3.0], [0.0, 3.0])
+        assert "old" not in g and "x" in g
         assert len(g) == 2
-        assert "a" in g and "c" not in g
-
-    def test_insert_replaces(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(5, 5))
-        g.insert("a", Vec2(100, 100))
-        assert set(g.within(Vec2(0, 0), 20)) == set()
-        assert g.position_of("a") == Vec2(100, 100)
-        assert len(g) == 1
-
-    def test_remove(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(5, 5))
-        g.remove("a")
-        assert len(g) == 0
-        with pytest.raises(KeyError):
-            g.remove("a")
-
-    def test_move_across_cells(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(5, 5))
-        g.move("a", Vec2(95, 95))
-        assert set(g.within(Vec2(100, 100), 10)) == {"a"}
-        assert set(g.within(Vec2(0, 0), 10)) == set()
+        assert g.within_ids(Vec2(0, 0), 5) == ["x", "y"]
+        assert g.position_of("y") == Vec2(3, 3)
 
     def test_negative_coordinates(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(-15, -15))
-        assert set(g.within(Vec2(-10, -10), 10)) == {"a"}
-
-    def test_bulk_load_replaces_all(self):
-        g = SpatialGrid(10.0)
-        g.insert("old", Vec2(1, 1))
-        g.bulk_load([("x", Vec2(0, 0)), ("y", Vec2(3, 3))])
-        assert "old" not in g
-        assert set(g.within(Vec2(0, 0), 5)) == {"x", "y"}
+        g = load([("a", Vec2(-15, -15))])
+        assert g.within_ids(Vec2(-10, -10), 10) == ["a"]
 
     def test_negative_radius_yields_nothing(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(0, 0))
-        assert list(g.within(Vec2(0, 0), -1.0)) == []
+        g = load([("a", Vec2(0, 0))])
+        assert g.within_ids(Vec2(0, 0), -1.0) == []
 
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            SpatialGrid(0.0)
+    def test_empty_grid(self):
+        g = SpatialGrid()
+        assert len(g) == 0
+        assert g.within_ids(Vec2(0, 0), 10) == []
+        assert g.knn(Vec2(0, 0), 3) == []
 
 
 class TestNearest:
     def test_nearest_simple(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(0, 0))
-        g.insert("b", Vec2(100, 0))
+        g = load([("a", Vec2(0, 0)), ("b", Vec2(100, 0))])
         assert g.nearest(Vec2(30, 0)) == "a"
         assert g.nearest(Vec2(70, 0)) == "b"
 
     def test_nearest_with_exclusion(self):
-        g = SpatialGrid(10.0)
-        g.insert("a", Vec2(0, 0))
-        g.insert("b", Vec2(100, 0))
+        g = load([("a", Vec2(0, 0)), ("b", Vec2(100, 0))])
         assert g.nearest(Vec2(5, 0), exclude={"a"}) == "b"
 
     def test_nearest_far_away(self):
-        g = SpatialGrid(1.0)
-        g.insert("a", Vec2(1000, 1000))
+        g = load([("a", Vec2(1000, 1000))])
         assert g.nearest(Vec2(0, 0)) == "a"
 
     def test_nearest_empty_raises(self):
-        g = SpatialGrid(10.0)
         with pytest.raises(KeyError):
-            g.nearest(Vec2(0, 0))
+            SpatialGrid().nearest(Vec2(0, 0))
+        with pytest.raises(KeyError):
+            load([("a", Vec2(0, 0))]).nearest(Vec2(0, 0), exclude={"a"})
+
+    def test_ties_break_by_ascending_key(self):
+        g = load([(7, Vec2(1, 0)), (3, Vec2(-1, 0)), (5, Vec2(0, 1))])
+        assert g.nearest(Vec2(0, 0)) == 3
+        assert g.knn(Vec2(0, 0), 3) == [3, 5, 7]
+        assert g.knn(Vec2(0, 0), 2, exclude={3}) == [5, 7]
 
 
 class TestGridAgainstBruteForce:
@@ -104,14 +78,14 @@ class TestGridAgainstBruteForce:
     @given(points, coords, coords,
            st.floats(min_value=0.1, max_value=200, allow_nan=False))
     def test_within_matches_brute_force(self, pts, cx, cy, radius):
-        g = SpatialGrid(17.0)
         items = [(i, Vec2(x, y)) for i, (x, y) in enumerate(pts)]
-        g.bulk_load(items)
+        g = load(items)
         center = Vec2(cx, cy)
-        got = set(g.within(center, radius))
+        got = g.within_ids(center, radius)
+        assert got == sorted(got)
         want = brute_within(items, center, radius)
         # Allow boundary-epsilon differences only.
-        sym = got ^ want
+        sym = set(got) ^ want
         for key in sym:
             d = dict(items)[key].distance_to(center)
             assert abs(d - radius) < 1e-6
@@ -119,11 +93,23 @@ class TestGridAgainstBruteForce:
     @settings(max_examples=40)
     @given(points.filter(lambda p: len(p) > 0), coords, coords)
     def test_nearest_matches_brute_force(self, pts, cx, cy):
-        g = SpatialGrid(17.0)
         items = [(i, Vec2(x, y)) for i, (x, y) in enumerate(pts)]
-        g.bulk_load(items)
+        g = load(items)
         center = Vec2(cx, cy)
         got = g.nearest(center)
         best = min(items, key=lambda kv: kv[1].distance_to(center))
         assert dict(items)[got].distance_to(center) == pytest.approx(
             best[1].distance_to(center))
+
+    @settings(max_examples=40)
+    @given(points, coords, coords, st.integers(min_value=0, max_value=70),
+           st.sets(st.integers(min_value=0, max_value=59), max_size=10))
+    def test_knn_matches_brute_force(self, pts, cx, cy, k, exclude):
+        """Exact: same squared distances, ties broken by ascending key."""
+        items = [(i, Vec2(x, y)) for i, (x, y) in enumerate(pts)]
+        g = load(items)
+        center = Vec2(cx, cy)
+        ranked = sorted((p.distance_sq_to(center), key)
+                        for key, p in items if key not in exclude)
+        want = [key for _d, key in ranked[:k]]
+        assert g.knn(center, k, exclude=exclude) == want

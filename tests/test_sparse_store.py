@@ -5,7 +5,8 @@ the dense (N, N) store for the log-structured sparse one and resolves
 receivers through cell buckets instead of full pairwise rows.  These
 tests force that large-N machinery at *small* N (by monkeypatching the
 threshold to 0) and require bit-identical outcomes against the dense
-engine and the legacy per-event path — the same contract
+engine and the scalar reference model (``tests/reference/beacons.py``)
+— the same contract
 ``tests/test_beacon_equivalence.py`` proves for the dense kernel.
 """
 
@@ -143,6 +144,8 @@ class TestEngineSparseEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_dense_and_legacy(self, force_sparse, seed):
+        """Sparse engine == dense engine == the per-beacon scalar model
+        (``tests/reference/beacons.py``, formerly the legacy path)."""
         assert beacons._DENSE_MAX == 0
         _sim, net = self._state("batched", seed)
         assert net._beacon_engine._large
@@ -153,9 +156,9 @@ class TestEngineSparseEquivalence:
         beacons._DENSE_MAX = 1024
         _sim, net_d = self._state("batched", seed)
         assert not net_d._beacon_engine._large
-        _sim, net_l = self._state("legacy", seed)
+        _sim, net_r = self._state("reference", seed)
         assert beacon_state(net_d) == sparse_state
-        assert beacon_state(net_l) == sparse_state
+        assert beacon_state(net_r) == sparse_state
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_with_deaths_and_mid_interval_reads(
@@ -175,7 +178,7 @@ class TestEngineSparseEquivalence:
         sparse_state = drive("batched")
         beacons._DENSE_MAX = 1024
         assert drive("batched") == sparse_state
-        assert drive("legacy") == sparse_state
+        assert drive("reference") == sparse_state
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_under_shadowing_and_loss(self, force_sparse, seed):
@@ -183,10 +186,10 @@ class TestEngineSparseEquivalence:
         candidates (max-range filter + per-link shadowing)."""
         kw = dict(loss=0.2, sigma=2.0)
         sparse_state = None
-        for phase in ("sparse", "dense", "legacy"):
+        for phase in ("sparse", "dense", "reference"):
             if phase == "dense":
                 beacons._DENSE_MAX = 1024
-            mode = "legacy" if phase == "legacy" else "batched"
+            mode = "reference" if phase == "reference" else "batched"
             _sim, net = self._state(mode, seed, **kw)
             state = beacon_state(net)
             if sparse_state is None:
