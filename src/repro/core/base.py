@@ -9,12 +9,13 @@ DIKNN, KPT, Peer-tree and flooding all implement this interface.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from .query import KNNQuery, QueryResult
 from ..net.network import Network
 from ..net.node import SensorNode
 from ..routing.base import Router
+from ..sim.probes import emit
 
 CompletionFn = Callable[[QueryResult], None]
 
@@ -31,10 +32,9 @@ class QueryProtocol(abc.ABC):
         self._pending: Dict[int, QueryResult] = {}
         self._callbacks: Dict[int, CompletionFn] = {}
         self._finalized: Set[int] = set()
-        #: optional telemetry sink (repro.obs.Telemetry).  Protocols emit
-        #: lifecycle events through it behind ``if self.obs is not None``
-        #: guards, so an uninstrumented run pays one attribute check.
-        self.obs = None
+        # ``core`` probes of the installed network's simulation: the
+        # query lifecycle, emitted behind ``if self._core`` guards
+        self._core: List[Callable] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -42,6 +42,7 @@ class QueryProtocol(abc.ABC):
         """Attach to a network: register message handlers."""
         self.network = network
         self.router = router
+        self._core = network.sim.probes["core"]
         self._install_handlers()
 
     @abc.abstractmethod
@@ -83,9 +84,9 @@ class QueryProtocol(abc.ABC):
         self._finalized.add(query_id)
         self._on_finalize(query_id)
         result.completed_at = self.network.sim.now
-        if self.obs is not None:
-            self.obs.query_finalized(query_id, completed=True,
-                                     at=self.network.sim.now)
+        if self._core:
+            emit(self._core, "query_finalized", query_id, True,
+                 self.network.sim.now)
         if callback is not None:
             callback(result)
 
@@ -102,9 +103,9 @@ class QueryProtocol(abc.ABC):
         if result is not None:
             self._finalized.add(query_id)
             self._on_finalize(query_id)
-            if self.obs is not None:
-                self.obs.query_finalized(query_id, completed=False,
-                                         at=self.network.sim.now)
+            if self._core:
+                emit(self._core, "query_finalized", query_id, False,
+                     self.network.sim.now)
         return result
 
     def _is_finalized(self, query_id: int) -> bool:

@@ -260,6 +260,8 @@ class BatchedBeaconEngine:
         self._def_rx = np.zeros(n, dtype=np.int64)
         self._def_costs: Optional[Tuple[float, float]] = None
         network.beacon_ledger.lazy_source = self._energy_probe
+        self._delivery_probes = network.sim.probes["net.beacons"]
+        self._charge_probes = network.sim.probes["net.energy"]
         self._running = False
         self._flushing = False
         self._virtual_now = 0.0
@@ -490,8 +492,9 @@ class BatchedBeaconEngine:
 
         mac = net._beacon_mac
         ledger = net.beacon_ledger
-        slow_energy = (ledger.observer is not None
-                       or ledger.capacity_j is not None)
+        # A battery needs chronological per-charge accounting (a node
+        # can die mid-flush); otherwise charges are banked as counts.
+        slow_energy = ledger.capacity_j is not None
         has_overlay = (mac.loss_overlay_at is not None
                        or mac.loss_overlay is not None)
         base_loss = net.radio.base_loss_rate
@@ -506,7 +509,7 @@ class BatchedBeaconEngine:
             tx_counts = np.zeros(len(self.ids), dtype=np.int64)
             rx_counts = np.zeros(len(self.ids), dtype=np.int64)
 
-        # Whole-group fast path: with no battery observer (so liveness
+        # Whole-group fast path: with no battery armed (so liveness
         # cannot flip mid-flush), no shadowing, a lossless channel (no
         # RNG draws to sequence) and every alive node's ledger account
         # already created (so creation order is moot), the per-fire loop
@@ -766,10 +769,21 @@ class BatchedBeaconEngine:
                 led._accounts[nid] = acct
             self._accts[i] = acct
         tx_cost, rx_cost = self._def_costs
+        tx0, rx0 = acct.tx_j, acct.rx_j
         if ct:
-            acct.tx_j = repeated_add(acct.tx_j, tx_cost, ct)
+            acct.tx_j = repeated_add(tx0, tx_cost, ct)
         if cr:
-            acct.rx_j = repeated_add(acct.rx_j, rx_cost, cr)
+            acct.rx_j = repeated_add(rx0, rx_cost, cr)
+        if self._charge_probes:
+            # Banked charges reach ``net.energy`` subscribers here, as
+            # one charge per kind: what the account just gained.
+            led = self.net.beacon_ledger
+            nid = int(self.ids[i])
+            for fn in self._charge_probes:
+                if ct:
+                    fn(led, nid, "tx", acct.tx_j - tx0)
+                if cr:
+                    fn(led, nid, "rx", acct.rx_j - rx0)
 
     def _alive_at_bulk(self, cols: np.ndarray,
                        times: np.ndarray) -> np.ndarray:
@@ -838,9 +852,6 @@ class BatchedBeaconEngine:
             self.pending.insert(0, straddler)
         has_transitions = bool(self._transitions)
         all_alive = not has_transitions and bool(self.alive_mask.all())
-        hooks = self.net._beacon_hooks
-        batch_hooks = self.net._beacon_batch_hooks
-        n_delivered = 0
         F_parts: List[np.ndarray] = []
         R_parts: List[np.ndarray] = []
         S_parts: List[np.ndarray] = []
@@ -864,18 +875,6 @@ class BatchedBeaconEngine:
                     g_rows, g_cols = g_rows[keep], g_cols[keep]
                 if g_rows.size == 0:
                     continue
-                if hooks:
-                    # Pair order is row-major == chronological fires,
-                    # receivers ascending per fire — per-beacon hook order.
-                    # Bulk tolist() gathers yield the same Python
-                    # ints/floats the per-pair conversions did.
-                    rids = self.ids[g_cols].tolist()
-                    srcs = self.ids[gi[g_rows]].tolist()
-                    t_ds = tds[g_rows].tolist()
-                    for rid, src, t_d in zip(rids, srcs, t_ds):
-                        for hook in hooks:
-                            hook(rid, src, t_d)
-                n_delivered += int(g_rows.size)
                 R_parts.append(g_cols)
                 S_parts.append(gi[g_rows])
                 T_parts.append(tds[g_rows])
@@ -894,14 +893,7 @@ class BatchedBeaconEngine:
                 surv = surv[self.alive_mask[surv]]
             if surv.size == 0:
                 continue
-            if hooks:
-                src = int(self.ids[s_i])
-                for r in surv.tolist():
-                    rid = int(self.ids[r])
-                    for hook in hooks:
-                        hook(rid, src, td)
             m = surv.size
-            n_delivered += int(m)
             R_parts.append(surv)
             S_parts.append(np.full(m, s_i, dtype=np.int64))
             T_parts.append(np.full(m, td))
@@ -910,9 +902,6 @@ class BatchedBeaconEngine:
             SP_parts.append(np.full(m, sp))
             VX_parts.append(np.full(m, vx))
             VY_parts.append(np.full(m, vy))
-        if n_delivered and batch_hooks:
-            for hook in batch_hooks:
-                hook(n_delivered)
         if R_parts:
             if len(R_parts) == 1:
                 R, S, T = R_parts[0], S_parts[0], T_parts[0]
@@ -927,6 +916,12 @@ class BatchedBeaconEngine:
                 SP = np.concatenate(SP_parts)
                 VX = np.concatenate(VX_parts)
                 VY = np.concatenate(VY_parts)
+            if self._delivery_probes:
+                # Pairs are in delivery order: chronological fires,
+                # receivers ascending per fire.
+                rids, srcs = self.ids[R], self.ids[S]
+                for fn in self._delivery_probes:
+                    fn(rids, srcs, T)
             n = len(self.ids)
             # Duplicate (receiver, sender) pairs can only come from a
             # sender with >= 2 fires delivered in this apply window, so

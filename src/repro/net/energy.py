@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
+
+if TYPE_CHECKING:
+    from ..sim.probes import Probes
 
 
 def repeated_add(total: float, cost: float, count: int) -> float:
@@ -137,16 +140,17 @@ class EnergyLedger:
 
     def __init__(self, model: EnergyModel,
                  capacity_j: "float | None" = None,
-                 on_depleted: "object | None" = None):
+                 on_depleted: "object | None" = None,
+                 probes: "Probes | None" = None):
         self.model = model
         self._accounts: Dict[int, EnergyAccount] = {}
         self.capacity_j = capacity_j
         self.on_depleted = on_depleted
         self._depleted: set = set()
-        #: optional pure observer called as ``fn(node_id, kind, cost)`` for
-        #: every charge (kind is "tx" | "rx" | "idle").  Used by
-        #: ``repro.validate`` to shadow the accounts; None costs nothing.
-        self.observer = None
+        # ``net.energy`` probes, called as ``fn(ledger, node_id, kind,
+        # cost)`` per charge (kind is "tx" | "rx" | "idle"); a ledger
+        # built without a bus has nobody to tell.
+        self._probes = probes["net.energy"] if probes is not None else []
         # Running network-wide total, advanced once per charge, so
         # snapshot()/since() are O(1) — the service layer checkpoints the
         # ledger around every query.  Deterministic (charges apply in a
@@ -209,8 +213,9 @@ class EnergyLedger:
         cost = self.model.tx_cost(bits, distance_m)
         self.account(node_id).tx_j += cost
         self._running_j += cost
-        if self.observer is not None:
-            self.observer(node_id, "tx", cost)
+        if self._probes:
+            for fn in self._probes:
+                fn(self, node_id, "tx", cost)
         self._check_battery(node_id)
         return cost
 
@@ -218,8 +223,9 @@ class EnergyLedger:
         cost = self.model.rx_cost(bits)
         self.account(node_id).rx_j += cost
         self._running_j += cost
-        if self.observer is not None:
-            self.observer(node_id, "rx", cost)
+        if self._probes:
+            for fn in self._probes:
+                fn(self, node_id, "rx", cost)
         self._check_battery(node_id)
         return cost
 
@@ -230,12 +236,13 @@ class EnergyLedger:
         Fast path for the batched beacon kernel: the per-charge cost is a
         constant, and the blocked closed form of :func:`repeated_add` is
         bitwise-identical to ``count`` separate ``charge_tx`` calls on the
-        same account field.  Refuses to run when an observer or battery is
-        armed — those need the chronological per-charge path.
+        same account field.  Refuses to run while an energy probe is
+        subscribed or a battery is armed — those need the chronological
+        per-charge path.
         """
-        if self.observer is not None or self.capacity_j is not None:
+        if self._probes or self.capacity_j is not None:
             raise ValueError(
-                "bulk charging is only valid without observer/battery")
+                "bulk charging is only valid without probes/battery")
         cost = self.model.tx_cost(bits, distance_m)
         acct = self.account(node_id)
         acct.tx_j = repeated_add(acct.tx_j, cost, count)
@@ -246,9 +253,9 @@ class EnergyLedger:
                            count: int) -> float:
         """Charge ``count`` identical receptions in one call (see
         :meth:`charge_tx_repeated` for the equivalence argument)."""
-        if self.observer is not None or self.capacity_j is not None:
+        if self._probes or self.capacity_j is not None:
             raise ValueError(
-                "bulk charging is only valid without observer/battery")
+                "bulk charging is only valid without probes/battery")
         cost = self.model.rx_cost(bits)
         acct = self.account(node_id)
         acct.rx_j = repeated_add(acct.rx_j, cost, count)
@@ -266,8 +273,9 @@ class EnergyLedger:
         cost = self.model.idle_cost(seconds)
         self.account(node_id).idle_j += cost
         self._running_j += cost
-        if self.observer is not None:
-            self.observer(node_id, "idle", cost)
+        if self._probes:
+            for fn in self._probes:
+                fn(self, node_id, "idle", cost)
         self._check_battery(node_id)
         return cost
 

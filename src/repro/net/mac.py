@@ -96,15 +96,9 @@ class MacLayer:
         #: only ``loss_overlay`` is set, the beacon kernel falls back to it
         #: (evaluated at flush time — documented divergence).
         self.loss_overlay_at: Optional[Callable[[float], float]] = None
-        #: optional pure observer called as ``fn(kind, value)`` — kinds:
-        #: "backoff_s" (chosen CSMA backoff) and "queue_s" (sender
-        #: serialization delay).  Used by ``repro.obs``; must not draw
-        #: RNG or schedule events; None costs nothing.
-        self.obs_hook: Optional[Callable[[str, float], None]] = None
-        #: optional flight recorder (repro.obs.FlightRecorder): trouble
-        #: frames (losses, retries, exhausted ARQ) land in its ring as
-        #: structured notes; None costs one comparison per frame.
-        self.flight = None
+        #: ``net.mac`` probes: CSMA backoff and queue-delay samples and
+        #: trouble frames (losses, exhausted ARQ)
+        self._probes = sim.probes["net.mac"]
         # Active transmissions, bucketed by position at interference-range
         # cell size with lazy end-time expiry (see repro.net.txindex);
         # supports append/len/iteration like the flat list it replaced.
@@ -243,8 +237,9 @@ class MacLayer:
                           self._sender_busy_until.get(sender, 0.0) - now)
         airtime = self.radio.airtime(message.size_bytes)
         self._sender_busy_until[sender] = now + queue_delay + airtime
-        if self.obs_hook is not None and queue_delay > 0.0:
-            self.obs_hook("queue_s", queue_delay)
+        if self._probes and queue_delay > 0.0:
+            for fn in self._probes:
+                fn("queue_s", now, queue_delay)
 
         if queue_delay > 0.0:
             self.sim.schedule_in(
@@ -264,8 +259,9 @@ class MacLayer:
                           attempt: int) -> None:
         self._prune_active()
         backoff = self.backoff_delay(sender_pos)
-        if self.obs_hook is not None:
-            self.obs_hook("backoff_s", backoff)
+        if self._probes:
+            for fn in self._probes:
+                fn("backoff_s", self.sim.now, backoff)
 
         def _begin() -> None:
             self._do_transmit(sender, sender_pos, message, receivers,
@@ -325,13 +321,12 @@ class MacLayer:
 
         delay = airtime + self.radio.propagation_delay_s
 
-        if self.flight is not None and (lost_ch or lost_col):
-            # Only trouble frames reach the ring; a clean delivery costs
-            # the single ``is not None`` comparison above.
-            self.flight.note(start, "mac", kind=message.kind,
-                             sender=sender, dst=message.dst,
-                             lost_channel=lost_ch, lost_collision=lost_col,
-                             attempt=attempt)
+        if self._probes and (lost_ch or lost_col):
+            lost = {"kind": message.kind, "sender": sender,
+                    "dst": message.dst, "lost_channel": lost_ch,
+                    "lost_collision": lost_col, "attempt": attempt}
+            for fn in self._probes:
+                fn("lost", start, lost)
 
         if message.is_broadcast:
             if delivered_to:
@@ -368,10 +363,12 @@ class MacLayer:
             return
 
         self.stats.unicast_failures += 1
-        if self.flight is not None:
-            self.flight.note(start, "mac", kind=message.kind,
-                             sender=sender, dst=message.dst,
-                             arq_exhausted=True, attempts=attempt + 1)
+        if self._probes:
+            exhausted = {"kind": message.kind, "sender": sender,
+                         "dst": message.dst, "arq_exhausted": True,
+                         "attempts": attempt + 1}
+            for fn in self._probes:
+                fn("arq_exhausted", start, exhausted)
         if on_unicast_fail is not None:
             self.sim.schedule_in(delay + cfg.retry_timeout_s,
                                  lambda: on_unicast_fail(message))

@@ -62,8 +62,9 @@ class Network:
         self.sim = sim
         self.radio = radio or RadioModel()
         self.energy_model = energy or EnergyModel()
-        self.ledger = EnergyLedger(self.energy_model)          # protocol traffic
-        self.beacon_ledger = EnergyLedger(self.energy_model)   # beacon traffic
+        # protocol and beacon traffic are booked on separate ledgers
+        self.ledger = EnergyLedger(self.energy_model, probes=sim.probes)
+        self.beacon_ledger = EnergyLedger(self.energy_model, probes=sim.probes)
         self.mac = MacLayer(sim, self.radio, self.ledger, mac_config)
         self._beacon_mac = MacLayer(sim, self.radio, self.beacon_ledger,
                                     mac_config, rng_stream="mac.beacon")
@@ -81,9 +82,7 @@ class Network:
         self._beacon_muted: set = set()
         self._sweep_task: Optional[PeriodicTask] = None
         self.neighbor_evictions = 0
-        self._trace_hooks: List[Callable[[str, Message, int], None]] = []
-        self._beacon_hooks: List[Callable[[int, int, float], None]] = []
-        self._beacon_batch_hooks: List[Callable[[int], None]] = []
+        self._probes = sim.probes["net"]
 
     # -- population ----------------------------------------------------------
 
@@ -191,31 +190,9 @@ class Network:
 
     # -- tracing -------------------------------------------------------------
 
-    def add_trace_hook(self,
-                       hook: Callable[[str, Message, int], None]) -> None:
-        """Register a hook called as ``hook(event, message, node_id)`` for
-        ``"send"`` and ``"deliver"`` events (used by the visualizer)."""
-        self._trace_hooks.append(hook)
-
-    def _trace(self, event: str, message: Message, node_id: int) -> None:
-        for hook in self._trace_hooks:
-            hook(event, message, node_id)
-
-    def add_beacon_hook(self,
-                        hook: Callable[[int, int, float], None]) -> None:
-        """Register a hook called as ``hook(receiver_id, src_id, time)``
-        for every delivered beacon (used by the validation layer to vouch
-        for neighbor-table entries).  Hooks must be pure observers."""
-        self._beacon_hooks.append(hook)
-
-    def add_beacon_batch_hook(self,
-                              hook: Callable[[int], None]) -> None:
-        """Register an aggregate hook called as ``hook(count)`` once per
-        delivery batch.  A per-pair hook costs one Python call per
-        delivered beacon inside the vectorized engine; observers that
-        only need totals (telemetry's delivery counter) must use this
-        instead.  Hooks must be pure observers."""
-        self._beacon_batch_hooks.append(hook)
+    def add_beacon_batch_hook(self, hook: Callable[[int], None]) -> None:
+        """Call ``hook(count)`` once per beacon delivery batch."""
+        self.sim.probes.subscribe("net.beacons", lambda r, *_: hook(len(r)))
 
     # -- beacons -------------------------------------------------------------
 
@@ -319,7 +296,9 @@ class Network:
         # shadowing) are applied here.
         receivers = self._receivers_for(sender.id, pos)
         self.stats.messages_sent += 1
-        self._trace("send", message, sender.id)
+        if self._probes:
+            for fn in self._probes:
+                fn("send", message, sender.id)
         self.mac.transmit(sender.id, pos, message, receivers,
                           deliver=self._deliver, on_unicast_fail=on_fail)
 
@@ -328,7 +307,9 @@ class Network:
         if node is None or not node.alive:
             return
         self.stats.deliveries += 1
-        self._trace("deliver", message, receiver_id)
+        if self._probes:
+            for fn in self._probes:
+                fn("deliver", message, receiver_id)
         node.handle(message)
 
     # -- protocol helpers ----------------------------------------------------

@@ -83,8 +83,7 @@ def capture_scenario(name: str = "static-diknn",
         telemetry.attach_handle(handle)
     recorder = None
     if flight:
-        recorder = FlightRecorder().install(handle.sim,
-                                            mac=handle.network.mac)
+        recorder = FlightRecorder().install(handle.sim)
     handle.warm_up()
     query = KNNQuery(query_id=1, sink_id=handle.sink.id,
                      point=Vec2(*spec.point), k=spec.k,

@@ -1,8 +1,8 @@
 """Raw-event layer of the telemetry subsystem (the ns-2 trace file).
 
 The paper visualized query execution by modifying ns-2's trace format
-(§5.2).  ``TraceLog`` is the equivalent here: it hooks the network's
-send/deliver events, records them as structured entries with timestamps,
+(§5.2).  ``TraceLog`` is the equivalent here: it subscribes to the
+network's ``net`` probes (send/deliver events), records them as structured entries with timestamps,
 and can export JSON-lines for external analysis.  Query tools on top of
 the in-memory log answer the questions the figures need (per-kind counts,
 per-query timelines, hop chains).
@@ -129,7 +129,7 @@ class TraceLog:
         self.max_entries = max_entries
         self.entries: List[TraceEntry] = []
         self.truncated = False
-        network.add_trace_hook(self._hook)
+        network.sim.probes.subscribe("net", self._hook)
 
     def _hook(self, event: str, message: Message, node_id: int) -> None:
         if len(self.entries) >= self.max_entries:
@@ -145,10 +145,8 @@ class TraceLog:
             query_id=_query_id_of(message)))
 
     def detach(self) -> None:
-        """Stop recording (removes the network hook; idempotent)."""
-        hooks = self.network._trace_hooks
-        if self._hook in hooks:
-            hooks.remove(self._hook)
+        """Stop recording (unsubscribes the ``net`` probe; idempotent)."""
+        self.network.sim.probes.unsubscribe("net", self._hook)
 
     # -- queries --------------------------------------------------------------
 

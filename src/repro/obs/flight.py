@@ -15,9 +15,9 @@ ring, and optionally the full-fidelity span trees the tail sampler
 promoted for the triggering query.  Paths ending in ``.gz`` are
 gzip-compressed transparently.
 
-Install on a simulator (and optionally a MAC layer) with
-:meth:`FlightRecorder.install`; both taps are the usual None-guarded
-attributes, so an uninstalled run pays one comparison per event.
+Install on a simulator with :meth:`FlightRecorder.install`: the recorder
+subscribes to the run's ``sim`` and ``net.mac`` probes, so an
+uninstalled run pays one empty-list test per event.
 """
 
 from __future__ import annotations
@@ -49,14 +49,19 @@ class FlightRecorder:
         self.triggers: List[dict] = []
         self.dumps_written: List[str] = []
         self._sim = None
-        self._mac = None
 
     # -- recording (hot paths) ------------------------------------------
 
     def record_event(self, time: float, callback) -> None:
-        """Kernel tap: one append per executed event."""
+        """Kernel tap (a ``sim`` probe): one append per executed event."""
         self._ring.append((time, "kernel", callback, None))
         self.recorded += 1
+
+    def record_mac(self, _event: str, time: float, detail) -> None:
+        """MAC tap (a ``net.mac`` probe): trouble frames, not samples."""
+        if type(detail) is dict:
+            self._ring.append((time, "mac", None, detail))
+            self.recorded += 1
 
     def note(self, time: float, category: str, **fields) -> None:
         """Structured tap for MAC decisions and service transitions."""
@@ -65,27 +70,21 @@ class FlightRecorder:
 
     # -- installation ---------------------------------------------------
 
-    def install(self, sim, mac=None) -> "FlightRecorder":
-        """Attach to a simulator's (and optionally a MAC layer's)
-        None-guarded ``flight`` slot; registers for violation notify."""
-        sim.flight = self
+    def install(self, sim) -> "FlightRecorder":
+        """Subscribe to a simulator's ``sim`` and ``net.mac`` probes and
+        register for violation notify."""
+        sim.probes.subscribe("sim", self.record_event)
+        sim.probes.subscribe("net.mac", self.record_mac)
         self._sim = sim
-        if mac is not None:
-            mac.flight = self
-            self._mac = mac
         if self not in _ACTIVE:
             _ACTIVE.append(self)
         return self
 
     def uninstall(self) -> None:
-        if self._sim is not None and getattr(self._sim, "flight",
-                                             None) is self:
-            self._sim.flight = None
-        if self._mac is not None and getattr(self._mac, "flight",
-                                             None) is self:
-            self._mac.flight = None
+        if self._sim is not None:
+            self._sim.probes.unsubscribe("sim", self.record_event)
+            self._sim.probes.unsubscribe("net.mac", self.record_mac)
         self._sim = None
-        self._mac = None
         if self in _ACTIVE:
             _ACTIVE.remove(self)
 

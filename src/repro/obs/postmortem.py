@@ -618,7 +618,7 @@ def replay_seed_query(seed: int, k: int, qx: float, qy: float,
     router = GpsrRouter(net)
     proto.install(net, router)
     telemetry = Telemetry(profile_kernel=False, trace_events=False)
-    telemetry.attach(sim, net, protocol=proto, router=router)
+    telemetry.attach(sim, net)
 
     query = KNNQuery(query_id=next_query_id(), sink_id=0,
                      point=Vec2(qx, qy), k=k, issued_at=sim.now)

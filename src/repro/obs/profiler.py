@@ -8,14 +8,15 @@ which maps one-to-one onto the kernel's event-handler types.  Keying on
 the code object (not just ``__qualname__``) keeps distinct lambdas and
 closures in distinct buckets: two ``<lambda>`` handlers defined on
 different lines never collapse into one row.  Timing happens strictly
-outside the seeded-RNG path: the profiler reads the wall clock and a
-dict, so simulation results stay bit-identical whether or not it is
-installed.
+outside the seeded-RNG path: the profiler is a ``sim`` probe that reads
+the wall clock and a dict, so simulation results stay bit-identical
+whether or not it is installed.
 """
 
 from __future__ import annotations
 
 import functools
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 
@@ -66,8 +67,9 @@ class HandlerStats:
 class KernelProfiler:
     """Per-handler-type wall-clock accounting for a :class:`Simulator`.
 
-    Install with :meth:`install` (sets ``sim.profiler``); the kernel then
-    times every event callback through :meth:`record`.
+    :meth:`install` subscribes :meth:`on_event` to the ``sim`` probes.
+    Each event is charged the wall time from its dispatch to the next
+    one (a pause between two ``run`` calls lands on the event before).
     """
 
     def __init__(self) -> None:
@@ -76,24 +78,34 @@ class KernelProfiler:
         self.events_timed = 0
         self.total_s = 0.0
         self._sim = None
+        self._open: Optional[HandlerStats] = None
+        self._t0 = 0.0
 
     # -- lifecycle ------------------------------------------------------
 
     def install(self, sim) -> "KernelProfiler":
-        if sim.profiler is not None:
-            raise RuntimeError("simulator already has a profiler")
-        sim.profiler = self
+        if self._sim is not None:
+            raise RuntimeError("profiler is already installed")
+        sim.probes.subscribe("sim", self.on_event)
         self._sim = sim
         return self
 
     def uninstall(self) -> None:
-        if self._sim is not None and self._sim.profiler is self:
-            self._sim.profiler = None
+        if self._sim is not None:
+            self._sim.probes.unsubscribe("sim", self.on_event)
         self._sim = None
+        self._open = None
 
-    # -- recording (called by the kernel) -------------------------------
+    # -- recording (a ``sim`` probe) ------------------------------------
 
-    def record(self, callback, elapsed_s: float) -> None:
+    def on_event(self, _time: float, callback) -> None:
+        now = perf_counter()
+        prev = self._open
+        if prev is not None:
+            lap = now - self._t0
+            prev.total_s += lap
+            prev.max_s = max(prev.max_s, lap)
+            self.total_s += lap
         # Cache labels by code-object id: closures are re-created per
         # scheduling but share their code, so the string work happens
         # once per handler type, not once per event.  Partials and bound
@@ -112,10 +124,9 @@ class KernelProfiler:
         if stats is None:
             stats = self._stats[label] = HandlerStats(label)
         stats.calls += 1
-        stats.total_s += elapsed_s
-        stats.max_s = max(stats.max_s, elapsed_s)
         self.events_timed += 1
-        self.total_s += elapsed_s
+        self._open = stats
+        self._t0 = perf_counter()
 
     # -- reporting ------------------------------------------------------
 

@@ -1,12 +1,11 @@
 """The telemetry hub: one object wiring spans, metrics, raw events and
 the kernel profiler to a running simulation.
 
-``Telemetry`` is opt-in and zero-cost when off: every hook point in the
-substrate (simulator, MAC, router, protocol, itinerary builder) is a
-``None``-guarded attribute, so an unattached run pays one comparison per
-event.  All attached callbacks are *pure observers* — they never draw
-randomness, schedule events or mutate simulation state — so an
-instrumented run is bit-identical to an uninstrumented one (the
+``Telemetry`` is opt-in and zero-cost when off: it subscribes to the
+simulation's probe bus (:mod:`repro.sim.probes`), whose emit sites are
+one empty-list test when nobody listens.  Every subscriber is *pure* —
+none draws randomness, schedules events or mutates simulation state —
+so an instrumented run is bit-identical to an uninstrumented one (the
 golden-trace determinism suite enforces this).
 
 Enable per-process with :func:`enable_observability` (the CLI's ``--obs``
@@ -51,9 +50,6 @@ class Telemetry:
         self._max_staged = max_staged
         self._sim = None
         self._network = None
-        self._router = None
-        self._protocol = None
-        self._prev_ledger_observer = None
         self._finalized = False
         # span bookkeeping: open span ids by role
         self._root: Dict[int, int] = {}
@@ -66,9 +62,9 @@ class Telemetry:
         # geometric query point per query id, kept so home_reached can
         # report the anchor displacement (declared home vs. target)
         self._qpoint: Dict[int, Tuple[float, float]] = {}
-        # Hot-path observer caches: the MAC/ledger/beacon hooks fire per
-        # frame sample / charge / delivery batch, so the metric objects
-        # are resolved once instead of a registry lookup per call.
+        # Hot-path caches: the MAC/ledger/beacon probes fire per frame
+        # sample / charge / delivery batch, so the metric objects are
+        # resolved once instead of a registry lookup per call.
         self._beacons_delivered = self.metrics.counter(
             "net.beacons.delivered")
         self._mac_hists: Dict[str, object] = {}
@@ -82,14 +78,19 @@ class Telemetry:
     def attached(self) -> bool:
         return self._sim is not None
 
-    def attach(self, sim, network, protocol=None, router=None) -> None:
-        """Install observation hooks on a built simulation."""
+    def _subscriptions(self):
+        return (("net.beacons", self._on_beacon_batch),
+                ("net.mac", self._on_mac),
+                ("net.energy", self._on_charge),
+                ("routing.gpsr", self._on_probe),
+                ("core", self._on_probe))
+
+    def attach(self, sim, network) -> None:
+        """Subscribe to a built simulation's probes."""
         if self._sim is not None:
             raise RuntimeError("telemetry is already attached")
         self._sim = sim
         self._network = network
-        self._router = router
-        self._protocol = protocol
         if self._trace_events:
             self.events = TraceLog(network)
         if self.profiler is not None:
@@ -100,47 +101,23 @@ class Telemetry:
                                max_staged=self._max_staged),
                 sim.rng.stream(SAMPLING_STREAM), self.metrics,
                 self.spans)
-        network.add_beacon_batch_hook(self._on_beacon_batch)
-        network.mac.obs_hook = self._on_mac
-        # Chain behind any observer the validation layer installed.
-        self._prev_ledger_observer = network.ledger.observer
-        network.ledger.observer = self._on_charge
-        if router is not None:
-            router.obs = self
-        if protocol is not None:
-            protocol.obs = self
-        from ..core import itinerary
-        itinerary.set_build_observer(self._on_itinerary_build)
+        for layer, fn in self._subscriptions():
+            sim.probes.subscribe(layer, fn)
 
     def attach_handle(self, handle) -> None:
         """Attach to a :class:`~repro.experiments.config.SimulationHandle`."""
-        self.attach(handle.sim, handle.network,
-                    protocol=handle.protocol, router=handle.router)
+        self.attach(handle.sim, handle.network)
 
     def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
+        """Unsubscribe every probe (idempotent)."""
         if self._sim is None:
             return
         if self.events is not None:
             self.events.detach()
         if self.profiler is not None:
             self.profiler.uninstall()
-        # Bound methods are recreated per attribute access, so these
-        # slots compare with == (method equality), never ``is``.
-        hooks = self._network._beacon_batch_hooks
-        if self._on_beacon_batch in hooks:
-            hooks.remove(self._on_beacon_batch)
-        if self._network.mac.obs_hook == self._on_mac:
-            self._network.mac.obs_hook = None
-        if self._network.ledger.observer == self._on_charge:
-            self._network.ledger.observer = self._prev_ledger_observer
-        if self._router is not None and self._router.obs is self:
-            self._router.obs = None
-        if self._protocol is not None and self._protocol.obs is self:
-            self._protocol.obs = None
-        from ..core import itinerary
-        if itinerary._build_observer == self._on_itinerary_build:
-            itinerary.set_build_observer(None)
+        for layer, fn in self._subscriptions():
+            self._sim.probes.unsubscribe(layer, fn)
         self._sim = None
 
     def finalize(self) -> None:
@@ -181,34 +158,45 @@ class Telemetry:
             self.metrics.gauge(name).set(float(value))
 
     # ------------------------------------------------------------------
-    # substrate observers
+    # substrate probes
     # ------------------------------------------------------------------
 
-    def _on_beacon_batch(self, count: int) -> None:
-        self._beacons_delivered.inc(count)
+    def _on_beacon_batch(self, receivers, _senders, _times) -> None:
+        self._beacons_delivered.inc(len(receivers))
 
-    def _on_mac(self, kind: str, value: float) -> None:
+    def _on_mac(self, kind: str, _time: float, value) -> None:
+        if type(value) is dict:
+            return   # a trouble frame: the flight recorder's business
         hist = self._mac_hists.get(kind)
         if hist is None:
             hist = self._mac_hists[kind] = \
                 self.metrics.histogram(f"mac.{kind}")
         hist.observe(value)
 
-    def _on_charge(self, node_id: int, kind: str, cost: float) -> None:
+    def _on_charge(self, ledger, _node_id: int, kind: str,
+                   cost: float) -> None:
+        if ledger is not self._network.ledger:
+            return   # beacon traffic is summed once, in finalize
         counter = self._charge_counters.get(kind)
         if counter is None:
             counter = self._charge_counters[kind] = \
                 self.metrics.counter(f"energy.{kind}_j")
         counter.inc(cost)
-        if self._prev_ledger_observer is not None:
-            self._prev_ledger_observer(node_id, kind, cost)
 
     def _on_itinerary_build(self, itinerary) -> None:
         self.metrics.counter("itinerary.builds").inc()
         self.metrics.histogram("itinerary.waypoints").observe(
             len(itinerary.waypoints))
 
-    # -- router observer (GpsrRouter.obs) -------------------------------
+    def _on_probe(self, event: str, *args) -> None:
+        """``routing.gpsr`` and ``core`` probes: each event is the name
+        of the method below that handles it."""
+        if event == "itinerary_built":
+            self._on_itinerary_build(*args)
+        else:
+            getattr(self, event)(*args)
+
+    # -- routing.gpsr probes --------------------------------------------
 
     def route_hop(self, inner_kind: str, perimeter: bool) -> None:
         self.metrics.counter("gpsr.forwards").inc()
@@ -299,7 +287,7 @@ class Telemetry:
         return None
 
     # ------------------------------------------------------------------
-    # protocol lifecycle observers (DIKNN)
+    # core probes: the DIKNN query lifecycle
     # ------------------------------------------------------------------
 
     def query_issued(self, query, sink_id: int, at: float) -> None:
@@ -439,8 +427,9 @@ class Telemetry:
             sectors=list(sectors))
         self._stage(qid, self._return[key])
 
-    def bundle_received(self, qid: int, sectors: List[int],
+    def bundle_received(self, qid: int, _node_id: int, inner: dict,
                         at: float) -> None:
+        sectors = inner["sectors"]
         fresh = False
         for key, span_id in list(self._return.items()):
             if key[0] == qid and key[1] & set(sectors) \

@@ -88,7 +88,7 @@ class QueryService:
         if flight_dir is not None:
             self._flight_dir = Path(flight_dir)
             self.flight = FlightRecorder(self.config.flight_capacity)
-            self.flight.install(self.sim, mac=handle.network.mac)
+            self.flight.install(self.sim)
         #: declarative objectives fed from the finalization stream
         self.slo = SloBoard(
             [SloSpec("availability", "availability",

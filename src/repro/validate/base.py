@@ -68,11 +68,11 @@ class ValidationContext:
 class Checker:
     """One invariant family.
 
-    Lifecycle: ``attach`` installs observation hooks, ``checkpoint`` runs
-    the (possibly expensive) consistency sweep, ``finalize`` adds
-    end-of-run-only checks, ``detach`` removes the hooks.  Hook callbacks
-    may raise :class:`InvariantViolation` immediately for cheap per-event
-    invariants.
+    Lifecycle: ``attach`` subscribes probes on the simulation's bus,
+    ``checkpoint`` runs the (possibly expensive) consistency sweep,
+    ``finalize`` adds end-of-run-only checks, ``detach`` unsubscribes.
+    Probe subscribers may raise :class:`InvariantViolation` immediately
+    for cheap per-event invariants.
     """
 
     #: short name used in violation messages and summaries
@@ -82,7 +82,7 @@ class Checker:
         self.checks_run = 0
 
     def attach(self, ctx: ValidationContext) -> None:
-        """Install observation hooks."""
+        """Subscribe this checker's probes."""
 
     def checkpoint(self, ctx: ValidationContext) -> None:
         """Sweep current state for violations."""
@@ -91,7 +91,7 @@ class Checker:
         """End-of-run checks (after the event queue has settled)."""
 
     def detach(self, ctx: ValidationContext) -> None:
-        """Remove hooks installed by :meth:`attach`."""
+        """Unsubscribe the probes :meth:`attach` subscribed."""
 
     def fail(self, detail: str, node: Optional[int] = None,
              time: Optional[float] = None,

@@ -57,12 +57,12 @@ class CausalityChecker(Checker):
     def attach(self, ctx: ValidationContext) -> None:
         self._sim = ctx.sim
         self._last_time = ctx.sim.now
-        ctx.sim.add_event_observer(self.on_event)
+        ctx.sim.probes.subscribe("sim", self.on_event)
 
     def detach(self, ctx: ValidationContext) -> None:
-        ctx.sim.remove_event_observer(self.on_event)
+        ctx.sim.probes.unsubscribe("sim", self.on_event)
 
-    def on_event(self, event_time: float) -> None:
+    def on_event(self, event_time: float, _callback) -> None:
         self.checks_run += 1
         if not math.isfinite(event_time):
             self.fail(f"event executed at non-finite time {event_time!r}",
@@ -104,7 +104,6 @@ class EnergyChecker(Checker):
         # ledger tag -> node -> {"tx": j, "rx": j, "idle": j}
         self._shadow: Dict[str, Dict[int, Dict[str, float]]] = {}
         self._baseline: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
-        self._chained: Dict[str, object] = {}
 
     def attach(self, ctx: ValidationContext) -> None:
         self._sim = ctx.sim
@@ -119,32 +118,28 @@ class EnergyChecker(Checker):
             self._baseline[tag] = {
                 nid: (acct.tx_j, acct.rx_j, acct.idle_j)
                 for nid, acct in ledger._accounts.items()}
-            self._chained[tag] = ledger.observer
-            ledger.observer = self._make_observer(tag)
+        ctx.sim.probes.subscribe("net.energy", self.on_charge)
 
     def detach(self, ctx: ValidationContext) -> None:
-        for tag, ledger in self._ledgers:
-            ledger.observer = self._chained.get(tag)
+        ctx.sim.probes.unsubscribe("net.energy", self.on_charge)
 
-    def _make_observer(self, tag: str):
+    def on_charge(self, ledger, node_id: int, kind: str,
+                  cost: float) -> None:
+        for tag, watched in self._ledgers:
+            if watched is ledger:
+                break
+        else:
+            return
+        self.checks_run += 1
+        if not math.isfinite(cost) or cost < 0.0:
+            now = self._sim.now if self._sim is not None else None
+            self.fail(f"{tag} ledger charged a {kind} cost of {cost!r}",
+                      node=node_id, time=now)
         shadow = self._shadow[tag]
-        chained = self._chained[tag]
-
-        def _observe(node_id: int, kind: str, cost: float) -> None:
-            self.checks_run += 1
-            if not math.isfinite(cost) or cost < 0.0:
-                now = self._sim.now if self._sim is not None else None
-                self.fail(f"{tag} ledger charged a {kind} cost of {cost!r}",
-                          node=node_id, time=now)
-            acct = shadow.get(node_id)
-            if acct is None:
-                acct = {"tx": 0.0, "rx": 0.0, "idle": 0.0}
-                shadow[node_id] = acct
-            acct[kind] += cost
-            if chained is not None:
-                chained(node_id, kind, cost)
-
-        return _observe
+        acct = shadow.get(node_id)
+        if acct is None:
+            acct = shadow[node_id] = {"tx": 0.0, "rx": 0.0, "idle": 0.0}
+        acct[kind] += cost
 
     def checkpoint(self, ctx: ValidationContext) -> None:
         now = ctx.sim.now
@@ -196,15 +191,15 @@ class NeighborTableChecker(Checker):
         for node in ctx.network.nodes.values():
             for nbr_id, entry in node.neighbor_table.items():
                 self._baseline[(node.id, nbr_id)] = entry.heard_at
-        ctx.network.add_beacon_hook(self.on_beacon)
+        ctx.sim.probes.subscribe("net.beacons", self.on_beacons)
 
     def detach(self, ctx: ValidationContext) -> None:
-        hooks = ctx.network._beacon_hooks
-        if self.on_beacon in hooks:
-            hooks.remove(self.on_beacon)
+        ctx.sim.probes.unsubscribe("net.beacons", self.on_beacons)
 
-    def on_beacon(self, receiver_id: int, src_id: int, time: float) -> None:
-        self._delivered[(receiver_id, src_id)] = time
+    def on_beacons(self, receivers, senders, times) -> None:
+        # delivery order: a pair delivered twice keeps its later time
+        self._delivered.update(zip(zip(receivers.tolist(), senders.tolist()),
+                                   times.tolist()))
 
     def checkpoint(self, ctx: ValidationContext) -> None:
         now = ctx.sim.now
@@ -263,12 +258,10 @@ class MacSanityChecker(Checker):
 
     def attach(self, ctx: ValidationContext) -> None:
         self._network = ctx.network
-        ctx.network.add_trace_hook(self.on_trace)
+        ctx.sim.probes.subscribe("net", self.on_trace)
 
     def detach(self, ctx: ValidationContext) -> None:
-        hooks = ctx.network._trace_hooks
-        if self.on_trace in hooks:
-            hooks.remove(self.on_trace)
+        ctx.sim.probes.unsubscribe("net", self.on_trace)
 
     def on_trace(self, event: str, message, node_id: int) -> None:
         self.checks_run += 1
@@ -404,51 +397,33 @@ class SectorChecker(Checker):
     def __init__(self) -> None:
         super().__init__()
         self._protocol: Optional[DIKNNProtocol] = None
-        self._ctx: Optional[ValidationContext] = None
         self._track: Dict[int, _QueryTrack] = {}
-        self._orig_issue = None
-        self._orig_on_result = None
 
     def attach(self, ctx: ValidationContext) -> None:
         if not isinstance(ctx.protocol, DIKNNProtocol):
             return  # nothing to check for other protocols
         self._protocol = ctx.protocol
-        self._ctx = ctx
-        self._orig_issue = ctx.protocol.issue
-        ctx.protocol.issue = self._issue
-        # _on_result is dispatched through the router's registry, so the
-        # observing wrapper must be re-registered there.
-        self._orig_on_result = ctx.protocol._on_result
-        if ctx.protocol.router is not None:
-            ctx.protocol.router.on_deliver(DIKNNProtocol.KIND_RESULT,
-                                           self._on_result)
+        ctx.sim.probes.subscribe("core", self.on_core)
 
     def detach(self, ctx: ValidationContext) -> None:
-        if self._protocol is None:
-            return
-        self._protocol.issue = self._orig_issue
-        if self._protocol.router is not None and \
-                self._orig_on_result is not None:
-            self._protocol.router.on_deliver(DIKNNProtocol.KIND_RESULT,
-                                             self._orig_on_result)
+        ctx.sim.probes.unsubscribe("core", self.on_core)
 
-    # -- wrappers (observe, then delegate / delegate, then verify) --------
+    def on_core(self, event: str, *args) -> None:
+        if event == "query_issued":
+            self._on_issue(*args)
+        elif event == "bundle_received":
+            self._on_bundle(*args)
 
-    def _issue(self, sink, query, on_complete):
+    def _on_issue(self, query, _sink_id: int, _at: float) -> None:
         self.checks_run += check_sector_partition(
             query.point, self._protocol.config.sectors)
         self._track.setdefault(query.query_id, _QueryTrack())
-        return self._orig_issue(sink, query, on_complete)
 
-    def _on_result(self, node, inner: dict) -> None:
+    def _on_bundle(self, query_id: int, node_id: int, inner: dict,
+                   now: float) -> None:
+        """A live bundle has just been merged at the sink (and has not
+        yet completed the query): audit the sink's accounting."""
         protocol = self._protocol
-        query_id = inner["query_id"]
-        live_before = (not protocol._is_finalized(query_id)
-                       and protocol._result_of(query_id) is not None)
-        self._orig_on_result(node, inner)
-        if not live_before:
-            return  # late bundle: the protocol must (and did) ignore it
-        now = self._ctx.sim.now
         self.checks_run += 1
 
         cand_ids = [int(c[0]) for c in inner["cands"]]
@@ -456,7 +431,7 @@ class SectorChecker(Checker):
             self.fail(
                 "result bundle carries duplicate candidate node ids "
                 f"{sorted(cand_ids)} (merge is not idempotent)",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
 
         track = self._track.setdefault(query_id, _QueryTrack())
         new_sectors = [s for s in inner["sectors"] if s not in track.seen]
@@ -466,31 +441,29 @@ class SectorChecker(Checker):
             track.seen.update(new_sectors)
 
         result = protocol._result_of(query_id)
-        if result is None:
-            return  # this bundle completed the query; state was consumed
         for s in inner["sectors"]:
             if not 0 <= s < result.sectors_total:
                 self.fail(
                     f"bundle reports sector {s}, outside "
                     f"[0, {result.sectors_total})",
-                    node=node.id, time=now, query_id=query_id)
+                    node=node_id, time=now, query_id=query_id)
         proto_seen = protocol.sectors_seen(query_id)
         if proto_seen != track.seen:
             self.fail(
                 f"sink sector accounting diverged: protocol says "
                 f"{sorted(proto_seen)}, bundles delivered say "
                 f"{sorted(track.seen)}",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
         if result.sectors_reported != len(track.seen):
             self.fail(
                 f"sectors_reported={result.sectors_reported} but "
                 f"{len(track.seen)} distinct sector(s) have reported "
                 "(duplicate bundle double-counted)",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
         if len(track.seen) > result.sectors_total:
             self.fail(
                 f"{len(track.seen)} sectors reported out of "
-                f"{result.sectors_total}", node=node.id, time=now,
+                f"{result.sectors_total}", node=node_id, time=now,
                 query_id=query_id)
         explored = result.meta.get("explored", 0.0)
         if not _close(explored, track.explored):
@@ -498,7 +471,7 @@ class SectorChecker(Checker):
                 f"exploration counter reads {explored:.6g} but distinct "
                 f"bundles contributed {track.explored:.6g} "
                 "(duplicate bundle double-counted)",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
 
 
 DEFAULT_CHECKERS = (CausalityChecker, EnergyChecker, NeighborTableChecker,

@@ -20,6 +20,8 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional
 
+import numpy as np
+
 from repro.geometry import Vec2
 from repro.net import Network, SensorNode
 from repro.net.node import NeighborEntry
@@ -31,7 +33,7 @@ class ReferenceNetwork(Network):
     """A :class:`~repro.net.Network` whose beacons, and the proactive
     neighbor sweep, run through the scalar per-node model.
 
-    Everything else (radio, MAC, spatial index, mute set, hooks) is the
+    Everything else (radio, MAC, spatial index, mute set, probes) is the
     production network's; no beacon engine is ever created.
     """
 
@@ -111,14 +113,19 @@ class ReferenceNetwork(Network):
     def _deliver_beacon(self, src: int, receivers: List[int], pos: Vec2,
                         speed: float, velocity: Vec2) -> None:
         now = self.sim.now
+        delivered = []
         for rid in receivers:
             node = self.nodes.get(rid)
             if node is None or not node.alive:
                 continue
-            for hook in self._beacon_hooks:
-                hook(rid, src, now)
-            for hook in self._beacon_batch_hooks:
-                hook(1)
+            delivered.append(rid)
             node.neighbor_table[src] = NeighborEntry(
                 src, pos, speed, now, beacon_position=pos,
                 velocity=velocity)
+        probes = self.sim.probes["net.beacons"]
+        if probes and delivered:
+            n = len(delivered)
+            batch = (np.array(delivered, dtype=np.int64),
+                     np.full(n, src, dtype=np.int64), np.full(n, now))
+            for fn in probes:
+                fn(*batch)

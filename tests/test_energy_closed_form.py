@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.net.energy import EnergyLedger, EnergyModel, repeated_add
+from repro.sim.probes import Probes
 
 
 def scalar_reference(total: float, cost: float, count: int) -> float:
@@ -162,7 +163,11 @@ class TestLedgerCheckpoints:
         led.set_battery(1.0, lambda nid: None)
         with pytest.raises(ValueError):
             led.charge_tx_repeated(1, 800, 20.0, 5)
-        led2 = EnergyLedger(EnergyModel())
-        led2.observer = lambda nid, kind, cost: None
+        probes = Probes()
+        led2 = EnergyLedger(EnergyModel(), probes=probes)
+        led2.charge_rx_repeated(1, 800, 5)   # nobody subscribed yet
+        probes.subscribe("net.energy", lambda led, nid, kind, cost: None)
         with pytest.raises(ValueError):
             led2.charge_rx_repeated(1, 800, 5)
+        with pytest.raises(ValueError):
+            led2.charge_tx_repeated(1, 800, 20.0, 5)

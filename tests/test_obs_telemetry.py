@@ -6,10 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DIKNNProtocol
-from repro.experiments import SimulationConfig, build_simulation, run_workload
+from repro.experiments import (SimulationConfig, build_simulation,
+                               run_query, run_workload)
+from repro.geometry import Vec2
 from repro.obs import (Telemetry, enable_observability,
                        observability_enabled, reset_observability)
 from repro.obs.capture import capture_scenario, scenario_names
+from repro.sim.probes import LAYERS
+from repro.validate import ValidationHarness
 
 
 @pytest.fixture(autouse=True)
@@ -17,6 +21,18 @@ def _clean_obs_state():
     reset_observability()
     yield
     reset_observability()
+
+
+def _subscribed(sim):
+    """Layer -> subscriber count, for every layer with a subscriber."""
+    return {layer: len(sim.probes[layer]) for layer in LAYERS
+            if sim.probes[layer]}
+
+
+def _small_handle(seed=3):
+    return build_simulation(
+        SimulationConfig(n_nodes=25, field_size=(50.0, 50.0), seed=seed,
+                         max_speed=0.0), DIKNNProtocol())
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +113,7 @@ class TestSwitch:
             SimulationConfig(n_nodes=25, field_size=(50.0, 50.0), seed=3,
                              max_speed=0.0), DIKNNProtocol())
         assert handle.obs is None
-        assert handle.protocol.obs is None
-        assert handle.sim.profiler is None
+        assert _subscribed(handle.sim) == {}
 
     def test_enable_attaches_and_reset_detaches(self):
         enable_observability()
@@ -107,16 +122,18 @@ class TestSwitch:
                              max_speed=0.0), DIKNNProtocol())
         telemetry = handle.obs
         assert isinstance(telemetry, Telemetry) and telemetry.attached
-        assert handle.protocol.obs is telemetry
-        assert handle.router.obs is telemetry
-        assert handle.sim.profiler is telemetry.profiler
-        assert handle.network.mac.obs_hook is not None
+        probes = handle.sim.probes
+        assert telemetry._on_probe in probes["core"]
+        assert telemetry._on_probe in probes["routing.gpsr"]
+        assert telemetry.profiler.on_event in probes["sim"]
+        assert telemetry._on_mac in probes["net.mac"]
+        assert telemetry._on_charge in probes["net.energy"]
+        assert telemetry._on_beacon_batch in probes["net.beacons"]
+        assert telemetry.events._hook in probes["net"]
         reset_observability()
         assert not observability_enabled()
         assert not telemetry.attached
-        assert handle.protocol.obs is None
-        assert handle.sim.profiler is None
-        assert handle.network.mac.obs_hook is None
+        assert _subscribed(handle.sim) == {}
 
     def test_double_attach_rejected(self):
         handle = build_simulation(
@@ -153,6 +170,50 @@ class TestSwitch:
         assert "static-diknn" in names and len(names) == 8
         with pytest.raises(ValueError, match="unknown scenario"):
             capture_scenario("nope")
+
+
+class TestProbeBus:
+    @pytest.mark.parametrize("detach_first", ["validator", "telemetry"])
+    def test_detach_order(self, detach_first):
+        """Detaching one subscriber never silences another, and either
+        detach order leaves the bus empty."""
+        handle = _small_handle()
+        validator = ValidationHarness()
+        validator.attach_handle(handle)
+        telemetry = Telemetry()
+        telemetry.attach_handle(handle)
+        handle.warm_up()
+        if detach_first == "validator":
+            validator.detach()
+            tx_j = telemetry.metrics.counter("energy.tx_j")
+            before = tx_j.value
+            run_query(handle, Vec2(25.0, 25.0), k=4, timeout=10.0)
+            assert tx_j.value > before
+            telemetry.detach()
+        else:
+            telemetry.detach()
+            before = validator.summary()["energy-conservation"]
+            run_query(handle, Vec2(25.0, 25.0), k=4, timeout=10.0)
+            assert validator.summary()["energy-conservation"] > before
+            validator.detach()
+        assert _subscribed(handle.sim) == {}
+
+    def test_itinerary_builds_stay_in_their_own_simulation(self):
+        handles = [_small_handle(seed) for seed in (3, 4)]
+        hubs = []
+        for handle in handles:
+            hub = Telemetry(profile_kernel=False, trace_events=False)
+            hub.attach_handle(handle)
+            handle.warm_up()
+            hubs.append(hub)
+        outcome = run_query(handles[0], Vec2(25.0, 25.0), k=4, timeout=10.0)
+        assert outcome.completed
+        builds = [hub.metrics.counter("itinerary.builds").value
+                  for hub in hubs]
+        assert builds[0] > 0
+        assert builds[1] == 0
+        for hub in hubs:
+            hub.detach()
 
 
 def test_workload_run_carries_obs_summary():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import PeriodicTask, SimulationError, Simulator
+from repro.sim.probes import emit
 
 
 class TestScheduling:
@@ -166,3 +167,66 @@ class TestPeriodicTask:
         sim = Simulator()
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
+
+
+class _Schedule:
+    """One schedule, replayable on fresh simulators with the same
+    callbacks (bound methods of one object compare equal)."""
+
+    sim = None
+
+    def start(self, sim):
+        self.sim = sim
+        self.sim.schedule_at(1.0, self.fan_out)
+        self.sim.schedule_at(1.0, self.leaf)
+        self.sim.schedule_at(2.0, self.leaf).cancel()
+        self.sim.schedule_at(3.0, self.leaf)
+
+    def fan_out(self):
+        self.sim.schedule_in(0.5, self.leaf)
+        self.sim.schedule_in(0.0, self.leaf)
+
+    def leaf(self):
+        pass
+
+
+class TestProbes:
+    @staticmethod
+    def _drive(schedule, loop):
+        from repro.obs import KernelProfiler
+        sim = Simulator()
+        seen = []
+        sim.probes.subscribe("sim", lambda t, cb: seen.append((t, cb)))
+        profiler = KernelProfiler().install(sim)
+        schedule.start(sim)
+        loop(sim)
+        return seen, profiler.events_timed
+
+    def test_step_and_run_dispatch_the_same_probes(self):
+        def by_step(sim):
+            while sim.step():
+                pass
+
+        schedule = _Schedule()
+        stepped = self._drive(schedule, by_step)
+        ran = self._drive(schedule, lambda sim: sim.run())
+        assert stepped == ran
+        seen, events_timed = ran
+        assert events_timed == len(seen) == 5
+        assert [t for t, _cb in seen] == [1.0, 1.0, 1.0, 1.5, 3.0]
+
+    def test_unsubscribe_is_idempotent(self):
+        sim = Simulator()
+        seen = []
+        probe = seen.append
+        sim.probes.subscribe("core", probe)
+        emit(sim.probes["core"], "x")
+        sim.probes.unsubscribe("core", probe)
+        sim.probes.unsubscribe("core", probe)
+        emit(sim.probes["core"], "y")
+        assert seen == ["x"]
+        assert sim.probes["core"] == []
+
+    def test_unknown_layer_rejected(self):
+        with pytest.raises(ValueError, match="unknown probe layer"):
+            Simulator().probes.subscribe("net.radio", print)

@@ -18,6 +18,7 @@ from repro.net.mac import _ActiveTx
 from repro.net.messages import Message
 from repro.net.node import NeighborEntry
 from repro.sim import Simulator
+from repro.sim.probes import emit
 from repro.validate import (CausalityChecker, InvariantViolation,
                             ValidationHarness, check_sector_partition,
                             enable_validation, reset_validation,
@@ -77,9 +78,9 @@ def test_corrupted_ledger_detected(validated_handle):
 
 
 def test_negative_charge_detected(validated_handle):
-    observer = validated_handle.network.ledger.observer
+    energy = validated_handle.sim.probes["net.energy"]
     with pytest.raises(InvariantViolation, match="energy-conservation"):
-        observer(3, "tx", -1e-3)
+        emit(energy, validated_handle.network.ledger, 3, "tx", -1e-3)
 
 
 def test_beacon_ledger_also_watched(validated_handle):
@@ -117,13 +118,13 @@ def test_self_delivery_detected(validated_handle):
     msg = Message(kind="x", src=5, dst=5, size_bytes=10)
     with pytest.raises(InvariantViolation,
                        match="mac-sanity.*self-delivery"):
-        validated_handle.network._trace("deliver", msg, 5)
+        emit(validated_handle.sim.probes["net"], "deliver", msg, 5)
 
 
 def test_missstamped_send_detected(validated_handle):
     msg = Message(kind="x", src=5, dst=6, size_bytes=10)
     with pytest.raises(InvariantViolation, match="mac-sanity"):
-        validated_handle.network._trace("send", msg, 4)
+        emit(validated_handle.sim.probes["net"], "send", msg, 4)
 
 
 def test_undrained_airtime_detected():
@@ -174,13 +175,13 @@ def test_out_of_order_event_detected():
     checker._last_time = 5.0
     with pytest.raises(InvariantViolation,
                        match="event-causality.*causality broken"):
-        checker.on_event(4.0)
+        checker.on_event(4.0, None)
 
 
 def test_non_finite_event_time_detected():
     checker = CausalityChecker()
     with pytest.raises(InvariantViolation, match="event-causality"):
-        checker.on_event(float("nan"))
+        checker.on_event(float("nan"), None)
 
 
 # -- sector algebra ---------------------------------------------------------
@@ -196,7 +197,8 @@ def test_sector_partition_rejects_bad_count():
 
 
 def _result_wrapper(handle):
-    """The (checker-wrapped) result-delivery handler as the router sees it."""
+    """The sink's result-delivery handler as the router sees it; the
+    sector checker audits each merge through the ``core`` probes."""
     return handle.router._delivery[DIKNNProtocol.KIND_RESULT]
 
 

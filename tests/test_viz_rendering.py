@@ -55,6 +55,13 @@ class TestTraversalRecorder:
         net, recorder, _results = record_traversal(k=40)
         assert all(0 <= s < 8 for s in recorder.trace.hops)
 
+    def test_detach_unsubscribes(self):
+        net, recorder, _results = record_traversal()
+        assert recorder._hook in net.sim.probes["net"]
+        recorder.detach()
+        recorder.detach()   # idempotent
+        assert net.sim.probes["net"] == []
+
 
 class TestSvgRendering:
     def test_geometry_mapping(self):
